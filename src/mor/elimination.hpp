@@ -52,11 +52,16 @@ RcNetwork ports_first(const RcNetwork& net, const std::vector<int>& ports);
 std::vector<std::vector<double>> dense_port_conductance(const RcNetwork& net,
                                                         const std::vector<int>& ports);
 
-/// Schur-complement reduction computed by Jacobi-preconditioned conjugate-
-/// gradient solves (one per port) instead of node elimination.  Exact up to
-/// the CG tolerance, and immune to the fill-in explosion of min-degree on
-/// 3-D meshes -- the production path for substrate extraction.  Capacitances
-/// are projected with the same DC influence weights as eliminate_internal.
+/// Schur-complement reduction computed by conjugate-gradient solves (one per
+/// port) instead of node elimination, preconditioned by the IC(0) incomplete
+/// Cholesky factor of the internal block (built once, shared by all ports).
+/// Exact up to the CG tolerance (||r|| <= cg_tol ||b||), and immune to the
+/// fill-in explosion of min-degree on 3-D meshes -- the production path for
+/// substrate extraction.  Raises snim::Error when an IC(0) pivot is not
+/// positive and finite (naming the row) or when a solve does not converge
+/// (naming the port, the iterations done and the residual reached).
+/// Capacitances are projected with the same DC influence weights as
+/// eliminate_internal.
 RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports,
                           double cg_tol = 1e-9, int max_iter = 20000);
 

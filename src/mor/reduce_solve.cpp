@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -13,45 +14,125 @@ namespace snim::mor {
 
 namespace {
 
-/// Compressed sparse row matrix for the internal-internal conductance block.
-struct Csr {
-    std::vector<int> ptr, idx;
-    std::vector<double> val;
-    std::vector<double> diag;
+/// The internal-internal conductance block Gii of a conductance network:
+/// its strictly lower triangle in CSR (columns ascending, parallel edges
+/// merged) plus the diagonal, and the IC(0) factor L on the same pattern,
+/// Gii ~= L L^T.  Gii is a symmetric M-matrix, so the incomplete Cholesky
+/// pivots are positive by construction and no mesh geometry is needed.
+struct InternalBlock {
     size_t n = 0;
+    std::vector<int> ptr, idx;   // strict lower triangle
+    std::vector<double> val;     // Gii(i, idx) = minus the edge conductance
+    std::vector<double> diag;    // Gii(i, i)
+    std::vector<double> lval;    // L(i, idx)
+    std::vector<double> linv;    // 1 / L(i, i)
 
+    /// y = Gii x from the lower triangle (each edge read once, used twice).
     void multiply(const std::vector<double>& x, std::vector<double>& y) const {
         for (size_t i = 0; i < n; ++i) {
-            double s = diag[i] * x[i];
-            for (int p = ptr[i]; p < ptr[i + 1]; ++p)
-                s += val[static_cast<size_t>(p)] *
-                     x[static_cast<size_t>(idx[static_cast<size_t>(p)])];
+            const double xi = x[i];
+            double s = diag[i] * xi;
+            for (int p = ptr[i]; p < ptr[i + 1]; ++p) {
+                const auto k = static_cast<size_t>(idx[static_cast<size_t>(p)]);
+                const double v = val[static_cast<size_t>(p)];
+                s += v * x[k];
+                y[k] += v * xi;
+            }
             y[i] = s;
+        }
+    }
+
+    /// IC(0): L(i,k) = (Gii(i,k) - sum_j L(i,j) L(k,j)) / L(k,k) over the
+    /// pattern of Gii, L(i,i) = sqrt(Gii(i,i) - sum_k L(i,k)^2).  A pivot
+    /// that is not positive and finite names its row and raises.
+    void factor(const std::vector<int>& internal_of) {
+        lval.assign(val.size(), 0.0);
+        linv.assign(n, 0.0);
+        for (size_t i = 0; i < n; ++i) {
+            const auto row_end = static_cast<size_t>(ptr[i + 1]);
+            double d = diag[i];
+            for (auto p = static_cast<size_t>(ptr[i]); p < row_end; ++p) {
+                const auto k = static_cast<size_t>(idx[p]);
+                double s = val[p];
+                // Sparse dot of row i (columns before k) with row k.
+                auto q = static_cast<size_t>(ptr[i]);
+                auto r = static_cast<size_t>(ptr[k]);
+                const auto k_end = static_cast<size_t>(ptr[k + 1]);
+                while (q < p && r < k_end) {
+                    if (idx[q] < idx[r]) {
+                        ++q;
+                    } else if (idx[r] < idx[q]) {
+                        ++r;
+                    } else {
+                        s -= lval[q++] * lval[r++];
+                    }
+                }
+                lval[p] = s * linv[k];
+                d -= lval[p] * lval[p];
+            }
+            if (!(d > 0.0) || !std::isfinite(d)) {
+                const auto node = std::find(internal_of.begin(), internal_of.end(),
+                                            static_cast<int>(i)) -
+                                  internal_of.begin();
+                raise("substrate reduction: IC(0) pivot %g at Gii row %zu "
+                      "(network node %td) is not positive and finite",
+                      d, i, node);
+            }
+            linv[i] = 1.0 / std::sqrt(d);
+        }
+    }
+
+    /// z = (L L^T)^-1 r: forward substitution, then backward in place.
+    void precondition(const std::vector<double>& r, std::vector<double>& z) const {
+        for (size_t i = 0; i < n; ++i) {
+            double s = r[i];
+            for (int p = ptr[i]; p < ptr[i + 1]; ++p)
+                s -= lval[static_cast<size_t>(p)] *
+                     z[static_cast<size_t>(idx[static_cast<size_t>(p)])];
+            z[i] = s * linv[i];
+        }
+        for (size_t i = n; i-- > 0;) {
+            const double zi = z[i] * linv[i];
+            z[i] = zi;
+            for (int p = ptr[i]; p < ptr[i + 1]; ++p)
+                z[static_cast<size_t>(idx[static_cast<size_t>(p)])] -=
+                    lval[static_cast<size_t>(p)] * zi;
         }
     }
 };
 
-/// Jacobi-preconditioned CG for the SPD conductance Laplacian.
-bool pcg(const Csr& a, const std::vector<double>& b, std::vector<double>& x,
-         double tol, int max_iter) {
+/// Outcome of one CG solve: iterations done and relative residual reached.
+struct CgResult {
+    bool converged = true;
+    int iters = 0;
+    double rel_res = 0.0;
+};
+
+/// IC(0)-preconditioned CG for the SPD conductance block: stops at
+/// ||r|| <= tol ||b||.  Fails fast on a non-positive or NaN curvature and on
+/// a non-finite residual.  Records the iterations in "mor/cg_iters" whether
+/// or not it converged.
+CgResult pcg(const InternalBlock& a, const std::vector<double>& b,
+             std::vector<double>& x, double tol, int max_iter) {
     const size_t n = a.n;
     x.assign(n, 0.0);
     std::vector<double> r = b, z(n), p(n), ap(n);
     double bnorm = 0.0;
     for (double v : b) bnorm += v * v;
     bnorm = std::sqrt(bnorm);
-    if (bnorm == 0.0) return true;
+    if (bnorm == 0.0) return {};
 
-    for (size_t i = 0; i < n; ++i) z[i] = r[i] / a.diag[i];
+    a.precondition(r, z);
     p = z;
     double rz = 0.0;
     for (size_t i = 0; i < n; ++i) rz += r[i] * z[i];
 
-    for (int it = 0; it < max_iter; ++it) {
+    CgResult res{false, 0, 1.0};
+    while (res.iters < max_iter) {
         a.multiply(p, ap);
         double pap = 0.0;
         for (size_t i = 0; i < n; ++i) pap += p[i] * ap[i];
-        if (pap <= 0.0) return false; // lost positive definiteness
+        if (!(pap > 0.0)) break; // lost positive definiteness, or NaN
         const double alpha = rz / pap;
         double rnorm = 0.0;
         for (size_t i = 0; i < n; ++i) {
@@ -59,31 +140,33 @@ bool pcg(const Csr& a, const std::vector<double>& b, std::vector<double>& x,
             r[i] -= alpha * ap[i];
             rnorm += r[i] * r[i];
         }
-        if (std::sqrt(rnorm) <= tol * bnorm) {
-            if (obs::enabled()) obs::record_value("mor/cg_iters", it + 1);
-            return true;
+        ++res.iters;
+        res.rel_res = std::sqrt(rnorm) / bnorm;
+        if (!std::isfinite(res.rel_res)) break;
+        if (res.rel_res <= tol) {
+            res.converged = true;
+            break;
         }
+        a.precondition(r, z);
         double rz_new = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-            z[i] = r[i] / a.diag[i];
-            rz_new += r[i] * z[i];
-        }
+        for (size_t i = 0; i < n; ++i) rz_new += r[i] * z[i];
         const double beta = rz_new / rz;
         rz = rz_new;
         for (size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
     }
-    return false;
+    if (obs::enabled()) obs::record_value("mor/cg_iters", res.iters);
+    return res;
 }
 
 /// The conductance network partitioned into port/internal blocks:
-/// Gii (CSR), Gip (per-port sparse columns), dense Gpp, ground legs.
-/// Shared by the Schur reduction and the reduction-error probes so both
-/// sides of the comparison see the identical assembly (regularisation
-/// included).
+/// Gii (with its IC(0) factor), Gip (per-port sparse columns), dense Gpp,
+/// ground legs.  Shared by the Schur reduction and the reduction-error
+/// probes so both sides of the comparison see the identical assembly
+/// (regularisation included).
 struct PartitionedG {
     size_t np = 0, ni = 0;
     std::vector<int> port_of, internal_of; // global node -> block index or -1
-    Csr a;                                 // Gii, Jacobi-ready
+    InternalBlock a;                       // Gii, factored
     std::vector<std::vector<std::pair<int, double>>> gip; // port -> (internal, g)
     std::vector<std::vector<double>> gpp;
     std::vector<double> gnd_int, gnd_port;
@@ -111,21 +194,37 @@ PartitionedG partition_conductance(const RcNetwork& net,
         if (out.port_of[i] < 0) out.internal_of[i] = static_cast<int>(ni++);
     out.ni = ni;
 
-    // Assemble Gii (CSR), Gip (per-port sparse rhs), Gpp, ground terms.
-    std::vector<std::vector<std::pair<int, double>>> rows(ni);
-    std::vector<double> diag(ni, 0.0);
+    // Assemble Gii, Gip (per-port sparse rhs), Gpp, ground terms.  Gii's
+    // lower triangle goes straight into CSR: count entries per row, then
+    // fill.
+    InternalBlock& a = out.a;
+    a.n = ni;
+    a.diag.assign(ni, 0.0);
+    a.ptr.assign(ni + 1, 0);
     out.gip.assign(np, {});
     out.gpp.assign(np, std::vector<double>(np, 0.0));
     out.gnd_int.assign(ni, 0.0);
     out.gnd_port.assign(np, 0.0);
     auto& gip = out.gip;
     auto& gpp = out.gpp;
+    auto& diag = a.diag;
+
+    const auto& internal_of = out.internal_of;
+    for (const auto& e : net.conductances) {
+        if (e.b < 0) continue;
+        const int ia = internal_of[static_cast<size_t>(e.a)];
+        const int ib = internal_of[static_cast<size_t>(e.b)];
+        if (ia >= 0 && ib >= 0) ++a.ptr[static_cast<size_t>(std::max(ia, ib)) + 1];
+    }
+    for (size_t i = 0; i < ni; ++i) a.ptr[i + 1] += a.ptr[i];
+    a.idx.resize(static_cast<size_t>(a.ptr[ni]));
+    a.val.resize(static_cast<size_t>(a.ptr[ni]));
 
     for (const auto& e : net.conductances) {
         const int pa = out.port_of[static_cast<size_t>(e.a)];
         const int pb = e.b < 0 ? -2 : out.port_of[static_cast<size_t>(e.b)];
-        const int ia = out.internal_of[static_cast<size_t>(e.a)];
-        const int ib = e.b < 0 ? -2 : out.internal_of[static_cast<size_t>(e.b)];
+        const int ia = internal_of[static_cast<size_t>(e.a)];
+        const int ib = e.b < 0 ? -2 : internal_of[static_cast<size_t>(e.b)];
         if (e.b < 0) {
             if (pa >= 0)
                 out.gnd_port[static_cast<size_t>(pa)] += e.value;
@@ -147,8 +246,10 @@ PartitionedG partition_conductance(const RcNetwork& net,
             diag[static_cast<size_t>(ia)] += e.value;
             gpp[static_cast<size_t>(pb)][static_cast<size_t>(pb)] += e.value;
         } else {
-            rows[static_cast<size_t>(ia)].emplace_back(ib, -e.value);
-            rows[static_cast<size_t>(ib)].emplace_back(ia, -e.value);
+            // a.ptr[row] is the row's fill cursor until the shift below.
+            const auto p = static_cast<size_t>(a.ptr[static_cast<size_t>(std::max(ia, ib))]++);
+            a.idx[p] = std::min(ia, ib);
+            a.val[p] = -e.value;
             diag[static_cast<size_t>(ia)] += e.value;
             diag[static_cast<size_t>(ib)] += e.value;
         }
@@ -159,22 +260,34 @@ PartitionedG partition_conductance(const RcNetwork& net,
         if (diag[i] <= 0.0) diag[i] = 1e-15;
     }
 
-    Csr& a = out.a;
-    a.n = ni;
-    a.diag = std::move(diag);
-    a.ptr.resize(ni + 1, 0);
-    for (size_t i = 0; i < ni; ++i)
-        a.ptr[i + 1] = a.ptr[i] + static_cast<int>(rows[i].size());
-    a.idx.resize(static_cast<size_t>(a.ptr[ni]));
-    a.val.resize(static_cast<size_t>(a.ptr[ni]));
+    // The fill cursors stopped at the next row's start: shift them back.
+    for (size_t i = ni; i > 0; --i) a.ptr[i] = a.ptr[i - 1];
+    a.ptr[0] = 0;
+
+    // Sort each row by column and merge parallel edges, compacting in place.
+    std::vector<std::pair<int, double>> row;
+    int w = 0;
     for (size_t i = 0; i < ni; ++i) {
-        int p = a.ptr[i];
-        for (const auto& [j, v] : rows[i]) {
-            a.idx[static_cast<size_t>(p)] = j;
-            a.val[static_cast<size_t>(p)] = v;
-            ++p;
+        row.clear();
+        for (int p = a.ptr[i]; p < a.ptr[i + 1]; ++p)
+            row.emplace_back(a.idx[static_cast<size_t>(p)], a.val[static_cast<size_t>(p)]);
+        std::sort(row.begin(), row.end());
+        a.ptr[i] = w;
+        for (const auto& [c, v] : row) {
+            if (w > a.ptr[i] && a.idx[static_cast<size_t>(w) - 1] == c) {
+                a.val[static_cast<size_t>(w) - 1] += v;
+            } else {
+                a.idx[static_cast<size_t>(w)] = c;
+                a.val[static_cast<size_t>(w)] = v;
+                ++w;
+            }
         }
     }
+    a.ptr[ni] = w;
+    a.idx.resize(static_cast<size_t>(w));
+    a.val.resize(static_cast<size_t>(w));
+
+    a.factor(out.internal_of);
     return out;
 }
 
@@ -189,7 +302,7 @@ RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports,
     const size_t np = ports.size();
     PartitionedG part = partition_conductance(net, ports);
     const size_t ni = part.ni;
-    const Csr& a = part.a;
+    const InternalBlock& a = part.a;
     const auto& gip = part.gip;
     const auto& gpp = part.gpp;
     const auto& gnd_port = part.gnd_port;
@@ -206,8 +319,11 @@ RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports,
             continue;
         }
         obs::count("mor/cg_solves");
-        if (!pcg(a, rhs, w[j], cg_tol, max_iter))
-            raise("substrate reduction: CG failed to converge for port %zu", j);
+        const CgResult cg = pcg(a, rhs, w[j], cg_tol, max_iter);
+        if (!cg.converged)
+            raise("substrate reduction: CG failed to converge for port %zu after "
+                  "%d iterations (relative residual %.3g, cg_tol %.3g)",
+                  j, cg.iters, cg.rel_res, cg_tol);
     }
 
     // Port conductance matrix: Gpp - Gip^T Gii^-1 Gip.
@@ -353,8 +469,11 @@ double probe_reduction_error(const RcNetwork& full, const RcNetwork& reduced,
                 rhs[static_cast<size_t>(k)] += g * v[j];
         if (part.ni > 0) {
             obs::count("mor/probe_cg_solves");
-            if (!pcg(part.a, rhs, u, cg_tol, max_iter))
-                raise("substrate reduction probe: CG failed to converge");
+            const CgResult cg = pcg(part.a, rhs, u, cg_tol, max_iter);
+            if (!cg.converged)
+                raise("substrate reduction probe: CG failed to converge for probe "
+                      "%d after %d iterations (relative residual %.3g, cg_tol %.3g)",
+                      t, cg.iters, cg.rel_res, cg_tol);
         } else {
             u.clear();
         }

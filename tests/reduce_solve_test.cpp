@@ -1,14 +1,54 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "mor/elimination.hpp"
 #include "mor/macromodel.hpp"
+#include "obs/registry.hpp"
+#include "substrate/extractor.hpp"
+#include "substrate/mesh.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace snim::mor {
 namespace {
+
+/// Records into a clean, enabled registry for the test's duration.
+class ReduceBySolveTest : public ::testing::Test {
+protected:
+    void SetUp() override {
+        obs::reset();
+        obs::set_enabled(true);
+    }
+    void TearDown() override {
+        obs::reset();
+        obs::set_enabled(false);
+    }
+};
+
+/// Most CG iterations any single solve took so far (0 when none recorded).
+double max_cg_iters() {
+    const auto stats = obs::value_stats("mor/cg_iters");
+    return stats ? stats->max : 0.0;
+}
+
+/// 40x40 unit-conductance grid with six ports and no ground leg.
+RcNetwork grid_40x40(std::vector<int>& ports) {
+    const int n = 40;
+    RcNetwork net;
+    net.node_count = static_cast<size_t>(n * n);
+    auto id = [n](int x, int y) { return y * n + x; };
+    for (int y = 0; y < n; ++y)
+        for (int x = 0; x < n; ++x) {
+            if (x + 1 < n) net.add_g(id(x, y), id(x + 1, y), 1.0);
+            if (y + 1 < n) net.add_g(id(x, y), id(x, y + 1), 1.0);
+        }
+    ports = {id(0, 0), id(39, 0), id(0, 39), id(39, 39), id(20, 20), id(10, 30)};
+    return net;
+}
 
 RcNetwork random_grounded_network(size_t n, int chords, uint64_t seed) {
     Rng rng(seed);
@@ -33,7 +73,7 @@ std::vector<std::vector<double>> port_matrix(const RcNetwork& reduced, size_t np
     return dense_port_conductance(reduced, ports);
 }
 
-TEST(ReduceBySolveTest, MatchesEliminationOnRandomNetworks) {
+TEST_F(ReduceBySolveTest, MatchesEliminationOnRandomNetworks) {
     for (uint64_t seed : {1u, 7u, 19u}) {
         auto net = random_grounded_network(60, 90, seed);
         const std::vector<int> ports{0, 13, 27, 41, 55};
@@ -48,7 +88,7 @@ TEST(ReduceBySolveTest, MatchesEliminationOnRandomNetworks) {
     }
 }
 
-TEST(ReduceBySolveTest, SeriesChain) {
+TEST_F(ReduceBySolveTest, SeriesChain) {
     RcNetwork net;
     net.node_count = 4;
     net.add_g(0, 1, 2.0);
@@ -62,7 +102,7 @@ TEST(ReduceBySolveTest, SeriesChain) {
     EXPECT_NEAR(g, 2.0 / 3.0, 1e-9);
 }
 
-TEST(ReduceBySolveTest, PortMatrixIsSymmetricAndDiagonallyDominant) {
+TEST_F(ReduceBySolveTest, PortMatrixIsSymmetricAndDiagonallyDominant) {
     auto net = random_grounded_network(80, 160, 3);
     const std::vector<int> ports{0, 10, 20, 30, 40, 50, 60, 70};
     auto red = reduce_by_solve(net, ports);
@@ -74,7 +114,7 @@ TEST(ReduceBySolveTest, PortMatrixIsSymmetricAndDiagonallyDominant) {
             EXPECT_NEAR(g[i][j], g[j][i], 1e-9);
 }
 
-TEST(ReduceBySolveTest, CapacitanceConservedForGroundedInternals) {
+TEST_F(ReduceBySolveTest, CapacitanceConservedForGroundedInternals) {
     RcNetwork net;
     net.node_count = 4;
     net.add_g(0, 1, 1.0);
@@ -87,7 +127,7 @@ TEST(ReduceBySolveTest, CapacitanceConservedForGroundedInternals) {
     EXPECT_NEAR(total_capacitance(red), 31e-15, 1e-19);
 }
 
-TEST(ReduceBySolveTest, PortAttachedCapKeepsSeriesTopology) {
+TEST_F(ReduceBySolveTest, PortAttachedCapKeepsSeriesTopology) {
     // Port 1 couples capacitively to internal node 2, which connects
     // resistively to port 0: the reduced model must contain a port-port
     // capacitance, NOT a cap from port 1 to ground.
@@ -105,7 +145,7 @@ TEST(ReduceBySolveTest, PortAttachedCapKeepsSeriesTopology) {
     EXPECT_NEAR(c1g, 0.0, 1e-19);
 }
 
-TEST(ReduceBySolveTest, UngroundedNetworkHasNoGroundLegs) {
+TEST_F(ReduceBySolveTest, UngroundedNetworkHasNoGroundLegs) {
     RcNetwork net;
     net.node_count = 3;
     net.add_g(0, 1, 1.0);
@@ -114,24 +154,141 @@ TEST(ReduceBySolveTest, UngroundedNetworkHasNoGroundLegs) {
     for (const auto& e : red.conductances) EXPECT_GE(e.b, 0);
 }
 
-TEST(ReduceBySolveTest, LargeMeshIsFast) {
-    // 40x40 resistive grid with 6 ports reduces in well under a second.
-    const int n = 40;
-    RcNetwork net;
-    net.node_count = static_cast<size_t>(n * n);
-    auto id = [n](int x, int y) { return y * n + x; };
-    for (int y = 0; y < n; ++y)
-        for (int x = 0; x < n; ++x) {
-            if (x + 1 < n) net.add_g(id(x, y), id(x + 1, y), 1.0);
-            if (y + 1 < n) net.add_g(id(x, y), id(x, y + 1), 1.0);
-        }
-    const std::vector<int> ports{id(0, 0), id(39, 0),  id(0, 39),
-                                 id(39, 39), id(20, 20), id(10, 30)};
+TEST_F(ReduceBySolveTest, LargeMeshIsFast) {
+    // 40x40 floating resistive grid with 6 ports: the IC(0)-preconditioned
+    // solves take at most ~70 iterations (Jacobi: ~220).
+    std::vector<int> ports;
+    const RcNetwork net = grid_40x40(ports);
     auto red = reduce_by_solve(net, ports);
     EXPECT_EQ(red.node_count, 6u);
     // Sanity: adjacent corners see less resistance than opposite corners.
     auto g = dense_port_conductance(red, {0, 1, 2, 3, 4, 5});
     EXPECT_GT(-g[0][1], 0.0);
+#if SNIM_OBS_ENABLED
+    EXPECT_EQ(obs::counter_value("mor/cg_solves"), 6u);
+    EXPECT_GT(max_cg_iters(), 0.0);
+    EXPECT_LE(max_cg_iters(), 80.0);
+#endif
+}
+
+TEST_F(ReduceBySolveTest, MatchesDenseSchurOnGradedSubstrateMesh) {
+    // A real substrate mesh: graded lateral pitch around a focus window,
+    // thin top slabs over a thick bulk (surface cells 7-27x wider than
+    // they are thick), high-ohmic with a floating backside, so Gii is
+    // grounded only through the port contacts.
+    substrate::MeshOptions opt;
+    opt.fine_pitch = 4.0;
+    opt.growth = 1.6;
+    opt.focus = geom::Rect(10, 10, 40, 30);
+    opt.margin = 20.0;
+    opt.z_steps = {0.5, 1.5, 4.0, 12.0, 32.0, 100.0};
+    substrate::Mesh mesh(geom::Rect(0, 0, 50, 40),
+                         tech::DopingProfile::high_ohmic(20.0, 150.0), opt);
+    ASSERT_GT(mesh.node_count(), 500u);
+    // Contacts over surface cells, conductance spread by covered area (as
+    // the extractor attaches resistive ports); one stiff probe.
+    std::vector<int> ports;
+    auto attach = [&mesh, &ports](const geom::Rect& r, double gtot) {
+        const int pnode = mesh.add_aux_node();
+        const auto cover = mesh.surface_overlap(r);
+        double area = 0.0;
+        for (const auto& [node, a] : cover) area += a;
+        for (const auto& [node, a] : cover)
+            mesh.network().add_g(pnode, node, gtot * a / area);
+        ports.push_back(pnode);
+    };
+    attach(geom::Rect(12, 12, 18, 28), 1.0 / 5.0);
+    attach(geom::Rect(32, 12, 38, 28), 1.0 / 5.0);
+    attach(geom::Rect(22, 18, 26, 22), 10.0);
+    attach(geom::Rect(-10, -10, 60, -5), 1.0 / 2.0); // guard strip at the edge
+    const RcNetwork& net = mesh.network();
+
+    // The 5 ohm contacts sit on kilo-ohm spreading resistances, so each
+    // diagonal Schur entry cancels ~1000x against its contact conductance:
+    // the production cg_tol of 1e-9 on the residual leaves ~4e-6 relative
+    // error there (Jacobi: ~3e-5).  A tight tolerance shows the reduction
+    // itself is exact.
+    const auto gref = dense_port_conductance(net, ports);
+    const auto check = [&](double cg_tol, double rel) {
+        const auto gred = port_matrix(reduce_by_solve(net, ports, cg_tol), ports.size());
+        for (size_t i = 0; i < ports.size(); ++i)
+            for (size_t j = 0; j < ports.size(); ++j)
+                EXPECT_NEAR(gred[i][j], gref[i][j],
+                            rel * std::max(gref[i][i], gref[j][j]))
+                    << "cg_tol " << cg_tol << " (" << i << "," << j << ")";
+    };
+    check(1e-12, 1e-7);
+    obs::reset();
+    check(1e-9, 1e-5);
+#if SNIM_OBS_ENABLED
+    // At the production tolerance: ~30 iterations per solve (Jacobi: ~120).
+    EXPECT_EQ(obs::counter_value("mor/cg_solves"), ports.size());
+    EXPECT_LE(max_cg_iters(), 50.0);
+#endif
+}
+
+TEST_F(ReduceBySolveTest, NanConductanceRaisesNamedErrorBeforeAnyCgIteration) {
+    std::vector<int> ports;
+    RcNetwork net = grid_40x40(ports);
+    // add_g rejects NaN, so inject it the way a corrupted input would.
+    net.conductances.push_back({5, 6, std::numeric_limits<double>::quiet_NaN()});
+    try {
+        reduce_by_solve(net, ports);
+        FAIL() << "expected the IC(0) factorization to reject the NaN";
+    } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("IC(0) pivot"), std::string::npos) << what;
+        EXPECT_NE(what.find("row"), std::string::npos) << what;
+    }
+    EXPECT_EQ(max_cg_iters(), 0.0); // failed at the factor, not after max_iter
+}
+
+TEST_F(ReduceBySolveTest, IterationCapRaisesWithCountAndResidual) {
+    std::vector<int> ports;
+    const RcNetwork net = grid_40x40(ports);
+    try {
+        reduce_by_solve(net, ports, 1e-9, /*max_iter=*/3);
+        FAIL() << "expected CG to stop at the iteration cap";
+    } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("port 0"), std::string::npos) << what;
+        EXPECT_NE(what.find("after 3 iterations"), std::string::npos) << what;
+        EXPECT_NE(what.find("relative residual"), std::string::npos) << what;
+        EXPECT_NE(what.find("cg_tol 1e-09"), std::string::npos) << what;
+    }
+#if SNIM_OBS_ENABLED
+    const auto stats = obs::value_stats("mor/cg_iters");
+    ASSERT_TRUE(stats.has_value()); // recorded on failure too
+    EXPECT_EQ(stats->count, 1u);
+    EXPECT_EQ(stats->max, 3.0);
+#endif
+}
+
+TEST_F(ReduceBySolveTest, ExtractorFallsBackWhenFactorizationFails) {
+    // A contact resistance so small that its conductance overflows to +inf:
+    // the IC(0) pivot under the contact is not finite, the reduction raises,
+    // and the extractor stitches in the unreduced mesh instead.
+    substrate::ExtractOptions opt;
+    opt.mesh.fine_pitch = 10.0;
+    opt.mesh.focus = geom::Rect(0, 0, 60, 20);
+    opt.mesh.margin = 20.0;
+    opt.mesh.z_steps = {2.0, 8.0};
+    std::vector<substrate::PortSpec> specs(2);
+    specs[0].name = "c1";
+    specs[0].region.add(geom::Rect(0, 0, 10, 20));
+    specs[0].contact_resistance = std::numeric_limits<double>::denorm_min();
+    specs[1].name = "c2";
+    specs[1].region.add(geom::Rect(50, 0, 60, 20));
+    ASSERT_TRUE(opt.unreduced_fallback);
+    const auto model = substrate::extract_substrate(
+        geom::Rect(0, 0, 60, 20), tech::DopingProfile::high_ohmic(20.0, 50.0), specs,
+        opt);
+    EXPECT_TRUE(model.mor_fallback);
+    EXPECT_GT(model.reduced.node_count, 2u);
+    ASSERT_EQ(model.port_names.size(), 2u);
+#if SNIM_OBS_ENABLED
+    EXPECT_EQ(obs::counter_value("substrate/mor_fallbacks"), 1u);
+#endif
 }
 
 struct SolveCase {
