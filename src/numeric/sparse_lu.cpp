@@ -534,7 +534,7 @@ size_t SparseLU<T>::nnz() const {
 template <class T>
 void ReusableLU<T>::full_factor(const SparseCSC<T>& a, const std::vector<int>* last_cols) {
     lu_.reset(); // a throwing factorization must leave the cache empty, not stale
-    lu_ = std::make_unique<SparseLU<T>>(a, opt_.pivot_tol, last_cols);
+    lu_ = std::make_unique<SparseLU<T>>(a, kPivotTol, last_cols);
     ref_min_pivot_ = lu_->factor_stats().min_pivot;
     pattern_cp_ = a.col_ptr();
     pattern_ri_ = a.row_idx();
@@ -547,7 +547,7 @@ void ReusableLU<T>::factor(const SparseCSC<T>& a, const RefactorHint& hint) {
         hint_key_[1] = hint.key[1];
         hint_key_[2] = hint.key[2];
     };
-    if (!lu_ || !opt_.reuse || a.col_ptr() != pattern_cp_ || a.row_idx() != pattern_ri_) {
+    if (!lu_ || a.col_ptr() != pattern_cp_ || a.row_idx() != pattern_ri_) {
         full_factor(a, hint.changed_cols);
         adopt_key();
         return;
@@ -572,7 +572,7 @@ void ReusableLU<T>::factor(const SparseCSC<T>& a, const RefactorHint& hint) {
     } else {
         ok = !forced && lu_->refactor(a);
     }
-    if (ok && lu_->factor_stats().min_pivot >= opt_.repivot_tol * ref_min_pivot_) {
+    if (ok && lu_->factor_stats().min_pivot >= kRepivotTol * ref_min_pivot_) {
         adopt_key();
         if (obs::enabled()) obs::count("numeric/lu_symbolic_reuse");
         return;

@@ -146,10 +146,10 @@ private:
 /// Owns a SparseLU and decides, per factor() call, between the cheap numeric
 /// refactor path and a full re-pivoting factorization:
 ///
-///   * first call, pattern change, or reuse disabled -> full factorization;
-///     its min |pivot| becomes the health reference.
+///   * first call or pattern change -> full factorization; its min |pivot|
+///     becomes the health reference.
 ///   * otherwise refactor; if the refactored min |pivot| degrades below
-///     repivot_tol times the reference (or a pivot lands on exact zero) the
+///     kRepivotTol times the reference (or a pivot lands on exact zero) the
 ///     stale pivot sequence is declared unhealthy and a full factorization
 ///     runs instead.
 ///
@@ -159,14 +159,10 @@ private:
 template <class T>
 class ReusableLU {
 public:
-    struct Options {
-        double pivot_tol = 0.1;   // threshold partial pivoting (full factor)
-        double repivot_tol = 1e-3; // min-pivot degradation guard vs. reference
-        bool reuse = true;        // false: full factorization every call
-    };
-
-    ReusableLU() = default;
-    explicit ReusableLU(Options opt) : opt_(opt) {}
+    /// Threshold partial pivoting of a full factorization.
+    static constexpr double kPivotTol = 0.1;
+    /// Min-pivot degradation guard of a refactor vs. the reference.
+    static constexpr double kRepivotTol = 1e-3;
 
     /// Caller-supplied context for an incremental refactorization.  `key` is
     /// an opaque fingerprint of everything that shapes the matrix OUTSIDE
@@ -200,12 +196,9 @@ public:
     const LuFactorStats& factor_stats() const { return lu().factor_stats(); }
     double rcond_estimate() const { return lu().rcond_estimate(); }
 
-    const Options& options() const { return opt_; }
-
 private:
     void full_factor(const SparseCSC<T>& a, const std::vector<int>* last_cols);
 
-    Options opt_;
     std::unique_ptr<SparseLU<T>> lu_;
     std::vector<int> pattern_cp_, pattern_ri_; // pattern the cache was built on
     double ref_min_pivot_ = 0.0; // min |pivot| of the last full factorization

@@ -1,6 +1,7 @@
 #include "sim/ac.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "numeric/certify.hpp"
 #include "numeric/sparse_lu.hpp"
@@ -13,15 +14,6 @@
 #include "util/units.hpp"
 
 namespace snim::sim {
-
-namespace {
-
-/// Pivot-health guard for the sweep's shared symbolic analysis: a refactor
-/// whose smallest pivot drops below this fraction of the reference
-/// factorization's is discarded in favour of a fresh full factorization.
-constexpr double kRepivotTol = 1e-3;
-
-} // namespace
 
 std::complex<double> AcResult::at(size_t k, circuit::NodeId node) const {
     SNIM_ASSERT(k < x.size(), "sweep index %zu out of %zu", k, x.size());
@@ -94,47 +86,32 @@ AcResult ac_sweep(circuit::Netlist& netlist, const std::vector<double>& freqs,
             assemble_ac(netlist, s, xop, units::kTwoPi * freqs[i], opt.gmin,
                         opt.exclude);
             const auto& a = s.csc();
-            double min_pivot = 0.0;
-            double fill_growth = 1.0;
-            bool reused = false;
-            if (opt.reuse_lu) {
-                if (obs::enabled()) obs::count("numeric/lu_refactor");
-                const bool ok = lu.refactor(a);
-                if (ok && lu.factor_stats().min_pivot >=
-                              kRepivotTol * ref_min_pivot) {
-                    if (obs::enabled()) obs::count("numeric/lu_symbolic_reuse");
-                    out.x[i] = lu.solve(s.rhs());
-                    min_pivot = lu.factor_stats().min_pivot;
-                    fill_growth = lu.factor_stats().fill_growth;
-                    reused = true;
-                    if (certify && i % static_cast<size_t>(opt.certify.stride) == 0) {
-                        const obs::SolveCertificate cert =
-                            certify_solve(lu, a, out.x[i], s.rhs(), opt.certify,
-                                          /*allow_fault=*/false);
-                        obs::record_certificate("ac", cert, opt.certify);
-                    }
-                } else if (obs::enabled()) {
-                    obs::count("numeric/lu_repivot_fallbacks");
-                }
-            }
-            if (!reused) {
-                // A fresh local factorization; the worker's reusable copy is
-                // left alone — refactor() recomputes every value, so a
-                // discarded pass leaves no numeric residue for later points.
-                SparseLU<std::complex<double>> fresh(a);
-                out.x[i] = fresh.solve(s.rhs());
-                min_pivot = fresh.factor_stats().min_pivot;
-                fill_growth = fresh.factor_stats().fill_growth;
-                if (certify && i % static_cast<size_t>(opt.certify.stride) == 0) {
-                    const obs::SolveCertificate cert =
-                        certify_solve(fresh, a, out.x[i], s.rhs(), opt.certify,
-                                      /*allow_fault=*/false);
-                    obs::record_certificate("ac", cert, opt.certify);
-                }
+            if (obs::enabled()) obs::count("numeric/lu_refactor");
+            const bool reused =
+                lu.refactor(a) &&
+                lu.factor_stats().min_pivot >=
+                    ReusableLU<std::complex<double>>::kRepivotTol * ref_min_pivot;
+            if (obs::enabled())
+                obs::count(reused ? "numeric/lu_symbolic_reuse"
+                                  : "numeric/lu_repivot_fallbacks");
+            // On a tripped guard: a fresh local factorization; the worker's
+            // reusable copy is left alone — refactor() recomputes every
+            // value, so a discarded pass leaves no numeric residue for later
+            // points.
+            std::optional<SparseLU<std::complex<double>>> fresh;
+            if (!reused) fresh.emplace(a);
+            const SparseLU<std::complex<double>>& f = reused ? lu : *fresh;
+            out.x[i] = f.solve(s.rhs());
+            if (certify && i % static_cast<size_t>(opt.certify.stride) == 0) {
+                const obs::SolveCertificate cert = certify_solve(
+                    f, a, out.x[i], s.rhs(), opt.certify, /*allow_fault=*/false);
+                obs::record_certificate("ac", cert, opt.certify);
             }
             if (obs::enabled()) {
-                obs::ts_append("sim/ac/lu_min_pivot", freqs[i], min_pivot, "1");
-                obs::ts_append("sim/ac/lu_fill_growth", freqs[i], fill_growth, "x");
+                obs::ts_append("sim/ac/lu_min_pivot", freqs[i],
+                               f.factor_stats().min_pivot, "1");
+                obs::ts_append("sim/ac/lu_fill_growth", freqs[i],
+                               f.factor_stats().fill_growth, "x");
             }
             // Heartbeat bookkeeping only — never the obs registry, so the
             // merged observation sequence stays thread-count independent.

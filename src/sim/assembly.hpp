@@ -67,8 +67,10 @@ public:
     /// overlay deviates.
     void assemble(const std::vector<double>& x, const circuit::TranParams& tp);
 
-    /// Bumped by every full pass (learn/relearn).  The Jacobian-reuse guard
-    /// keys on it: stale LU factors must not survive a pattern change.
+    /// Bumped by every full pass (learn/relearn).  The transient's
+    /// partial-refactor key includes it: a relearn may move entries outside
+    /// nonlinear_cols(), so factors from an earlier epoch must be refreshed
+    /// by a full numeric refactor, never a partial one.
     std::uint64_t epoch() const { return epoch_; }
 
     bool learned() const { return learned_; }

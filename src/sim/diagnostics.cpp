@@ -110,7 +110,6 @@ void digest_options(obs::ConfigDigest& d, const TranOptions& opt) {
     d.add("tran.record_start", opt.record_start);
     d.add("tran.record_stride", opt.record_stride);
     d.add("tran.initial", opt.initial);
-    d.add("tran.be_startup_steps", opt.be_startup_steps);
     d.add("tran.accumulate_average", opt.accumulate_average);
     d.add("tran.observe", opt.observe);
     d.add("tran.diag_bundle", opt.diag_bundle);
@@ -124,14 +123,7 @@ void digest_options(obs::ConfigDigest& d, const TranOptions& opt) {
     d.add("tran.lte_reltol", opt.lte_reltol);
     d.add("tran.lte_abstol", opt.lte_abstol);
     d.add("tran.retry_history", opt.retry_history);
-    d.add("tran.reuse_lu", opt.reuse_lu);
-    d.add("tran.dense_crossover", opt.dense_crossover);
-    d.add("tran.incremental_assembly", opt.incremental_assembly);
-    d.add("tran.newton_reuse_jacobian", opt.newton_reuse_jacobian);
-    d.add("tran.jacobian_stall_theta", opt.jacobian_stall_theta);
-    d.add("tran.jacobian_max_age", opt.jacobian_max_age);
     digest_certify_options(d, "tran", opt.certify);
-    d.add("tran.kcl_max", opt.kcl_max);
     // Checkpoint knobs (dir/tag/cadence/resume) are deliberately excluded:
     // they are operational, like thread counts, and a resumed run must
     // produce the same digest as the run that wrote the snapshot.
@@ -154,7 +146,6 @@ void digest_options(obs::ConfigDigest& d, const OpOptions& opt) {
     d.add("op.ptran_growth", opt.ptran_growth);
     d.add("op.ptran_steps", opt.ptran_steps);
     d.add("op.ptran_g_floor", opt.ptran_g_floor);
-    d.add("op.reuse_lu", opt.reuse_lu);
     digest_certify_options(d, "op", opt.certify);
 }
 
@@ -278,27 +269,33 @@ std::vector<std::pair<std::string, double>> worst_unknowns(
 }
 
 void validate_tran_options(const TranOptions& opt) {
-    if (!(opt.tstop > 0.0))
-        raise("TranOptions.tstop must be > 0 (got %g)", opt.tstop);
-    if (!(opt.dt > 0.0)) raise("TranOptions.dt must be > 0 (got %g)", opt.dt);
+    if (!(opt.tstop > 0.0) || !std::isfinite(opt.tstop))
+        raise("TranOptions.tstop must be finite and > 0 (got %g)", opt.tstop);
+    if (!(opt.dt > 0.0) || !std::isfinite(opt.dt))
+        raise("TranOptions.dt must be finite and > 0 (got %g)", opt.dt);
+    // The nominal step count is a long; LONG_MAX rounds up to 2^63 as a
+    // double, so '<' keeps every accepted ceil() exactly representable.
+    if (!(std::ceil(opt.tstop / opt.dt) <
+          static_cast<double>(std::numeric_limits<long>::max())))
+        raise("TranOptions.tstop/dt (%g / %g) gives more steps than a long "
+              "can count",
+              opt.tstop, opt.dt);
     if (opt.order != 1 && opt.order != 2)
         raise("TranOptions.order must be 1 (BE) or 2 (trapezoidal), got %d", opt.order);
     if (opt.max_newton <= 0)
         raise("TranOptions.max_newton must be > 0 (got %d)", opt.max_newton);
     if (opt.record_stride <= 0)
         raise("TranOptions.record_stride must be > 0 (got %d)", opt.record_stride);
-    if (opt.record_start >= opt.tstop)
+    if (!(opt.record_start < opt.tstop)) // NaN-safe
         raise("TranOptions.record_start (%g) must be before tstop (%g) — nothing "
               "would be recorded",
               opt.record_start, opt.tstop);
     if (!(opt.dv_max > 0.0))
         raise("TranOptions.dv_max must be > 0 (got %g)", opt.dv_max);
-    if (opt.reltol < 0.0 || opt.vntol < 0.0)
-        raise("TranOptions.reltol/vntol must be >= 0 (got %g / %g)", opt.reltol,
-              opt.vntol);
-    if (opt.be_startup_steps < 0)
-        raise("TranOptions.be_startup_steps must be >= 0 (got %d)",
-              opt.be_startup_steps);
+    if (!(opt.reltol >= 0.0) || !std::isfinite(opt.reltol))
+        raise("TranOptions.reltol must be finite and >= 0 (got %g)", opt.reltol);
+    if (!(opt.vntol >= 0.0) || !std::isfinite(opt.vntol))
+        raise("TranOptions.vntol must be finite and >= 0 (got %g)", opt.vntol);
     if (opt.diag_tail <= 0)
         raise("TranOptions.diag_tail must be > 0 (got %d)", opt.diag_tail);
     if (opt.diag_wave_tail < 0)
@@ -318,19 +315,6 @@ void validate_tran_options(const TranOptions& opt) {
               opt.lte_reltol, opt.lte_abstol);
     if (opt.retry_history <= 0)
         raise("TranOptions.retry_history must be > 0 (got %d)", opt.retry_history);
-    if (opt.dense_crossover < 0)
-        raise("TranOptions.dense_crossover must be >= 0 (got %d)",
-              opt.dense_crossover);
-    if (!(opt.jacobian_stall_theta > 0.0) || !(opt.jacobian_stall_theta < 1.0))
-        raise("TranOptions.jacobian_stall_theta must be in (0, 1) (got %g) — at "
-              "1 or above a reused solve could stall forever without tripping "
-              "the refactor guard",
-              opt.jacobian_stall_theta);
-    if (opt.jacobian_max_age < 1)
-        raise("TranOptions.jacobian_max_age must be >= 1 (got %d)",
-              opt.jacobian_max_age);
-    if (!(opt.kcl_max > 0.0))
-        raise("TranOptions.kcl_max must be > 0 (got %g)", opt.kcl_max);
     if (opt.checkpoint.every_steps < 0)
         raise("TranOptions.checkpoint.every_steps must be >= 0 (got %ld)",
               opt.checkpoint.every_steps);
@@ -343,9 +327,10 @@ void validate_tran_options(const TranOptions& opt) {
 void validate_op_options(const OpOptions& opt) {
     if (opt.max_iter <= 0)
         raise("OpOptions.max_iter must be > 0 (got %d)", opt.max_iter);
-    if (opt.reltol < 0.0 || opt.vntol < 0.0)
-        raise("OpOptions.reltol/vntol must be >= 0 (got %g / %g)", opt.reltol,
-              opt.vntol);
+    if (!(opt.reltol >= 0.0) || !std::isfinite(opt.reltol))
+        raise("OpOptions.reltol must be finite and >= 0 (got %g)", opt.reltol);
+    if (!(opt.vntol >= 0.0) || !std::isfinite(opt.vntol))
+        raise("OpOptions.vntol must be finite and >= 0 (got %g)", opt.vntol);
     if (!(opt.gmin > 0.0)) raise("OpOptions.gmin must be > 0 (got %g)", opt.gmin);
     if (!(opt.dv_max > 0.0)) raise("OpOptions.dv_max must be > 0 (got %g)", opt.dv_max);
     if (opt.diag_tail <= 0)

@@ -22,6 +22,17 @@
 
 namespace snim::sim {
 
+/// Number of initial steps integrated with backward Euler to damp the
+/// trapezoidal rule's startup ringing.
+constexpr int kBeStartupSteps = 4;
+
+/// Post-accept KCL conservation audit threshold: worst per-node current
+/// residual |A(x) x - b(x)|_i over the node rows of the accepted system [A].
+/// Audited every certify.stride-th accepted micro-step, recorded as the
+/// sim/transient/kcl_residual channel and the sim/kcl_worst_residual
+/// histogram, budgeted as stage "sim/kcl".
+constexpr double kKclMax = 1e-6;
+
 struct TranOptions {
     double tstop = 0.0;
     double dt = 0.0;
@@ -37,9 +48,6 @@ struct TranOptions {
     int record_stride = 1;
     /// Operating point to start from; empty -> computed internally.
     std::vector<double> initial;
-    /// Number of initial steps integrated with backward Euler to damp the
-    /// trapezoidal rule's startup ringing.
-    int be_startup_steps = 4;
     /// Accumulate the time-average of the FULL unknown vector over the
     /// recorded window (quasi-DC levels during oscillation).
     bool accumulate_average = false;
@@ -84,58 +92,11 @@ struct TranOptions {
     /// Last-N retry events kept for the diagnosis bundle.
     int retry_history = 64;
 
-    // --- solver hot path ------------------------------------------------
-    /// Reuse one symbolic LU analysis (sparsity pattern + pivot sequence)
-    /// across Newton iterations and steps, refreshing only the numeric
-    /// values (in-place stamp scatter + ReusableLU refactor, guarded by
-    /// pivot-health fallback).  OFF restores the historical engine: a fresh
-    /// factorization per iteration, dense below dense_crossover unknowns.
-    bool reuse_lu = true;
-    /// Largest unknown count solved with the dense LU fast path when
-    /// reuse_lu is off.  The reusable sparse path beats dense at every size
-    /// measured, so this only matters for the legacy configuration.
-    int dense_crossover = 160;
-    /// Partitioned incremental assembly (sim::TranAssembler): linear stamps
-    /// are pre-assembled once per run, companion images cached per
-    /// (dt, order), and each Newton iteration restores the linear baseline
-    /// and re-stamps only the nonlinear devices.  Bit-identical to the full
-    /// pass by construction.  OFF restores the full re-stamp per iteration.
-    /// Only applies on the sparse (reuse_lu) engine.
-    bool incremental_assembly = true;
-    /// Modified Newton: keep the previous LU factors while updates keep
-    /// contracting, solving the residual form dx = -LU^{-1}(A x - b); a
-    /// guarded fallback refactors on stall, non-finite update, key change
-    /// or age.  Converges to the same discrete solution (dx = 0 forces
-    /// A x = b regardless of the factors).  OFF refactors every iteration.
-    bool newton_reuse_jacobian = true;
-    /// Seed each Newton attempt with the same linear extrapolation the LTE
-    /// gate uses, x_acc + (dt/dt_prev) (x_acc - x_prev), instead of the
-    /// last accepted state.  On smooth waveforms the predictor lands an
-    /// order of magnitude closer to the solution, converting most steps
-    /// from three Newton iterations to two.  Both history vectors and
-    /// dt_prev are part of the checkpoint state, so resumed runs predict
-    /// bit-identically.  Only active with incremental_assembly (OFF keeps
-    /// the seed engine's x_acc start).
-    bool newton_predictor = true;
-    /// Stall guard: a reused solve must shrink max_dx to at most
-    /// jacobian_stall_theta times the previous iteration's, else the
-    /// factors are declared stale and refreshed.
-    double jacobian_stall_theta = 0.9;
-    /// Unconditional Jacobian refresh after this many consecutive reused
-    /// solves, bounding drift across accepted steps.
-    int jacobian_max_age = 32;
-
     // --- numerical-health certificates ----------------------------------
     /// Per-solve certificates on accepted steps (backward error, condition
     /// estimate, counted iterative refinement).  Active only while the obs
     /// registry is enabled; see obs::CertifyOptions for the knobs.
     obs::CertifyOptions certify;
-    /// Post-accept KCL conservation audit threshold: worst per-node current
-    /// residual |A(x) x - b(x)|_i over the node rows of the accepted system
-    /// [A].  Audited every certify.stride-th accepted micro-step, recorded
-    /// as the sim/transient/kcl_residual channel and the
-    /// sim/kcl_worst_residual histogram, budgeted as stage "sim/kcl".
-    double kcl_max = 1e-6;
 
     // --- checkpoint/restart ---------------------------------------------
     /// Crash-consistent solver-state snapshots and digest-guarded resume

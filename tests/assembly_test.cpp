@@ -7,11 +7,12 @@
 //   * SparseLU::refactor_partial must reproduce a full numeric refactor
 //     exactly (unchanged columns would recompute to their stored values, so
 //     skipping them cannot change anything downstream);
-//   * with the Newton predictor disabled, the incremental engine's waveform
-//     must be byte-identical to the legacy full-re-stamp engine whenever
-//     the fresh-preferred guard keeps every iteration on fresh factors.
-// Runs as its own binary (ctest label `perf`) because it arms global fault
-// windows and asserts on the global registry.
+//   * the production engine (incremental assembly, partial refactors,
+//     predictor) must land on the same waveform as the full-re-stamp,
+//     fresh-factorization reference in tran_reference.hpp, to within the
+//     Newton tolerance.
+// Runs as its own binary (ctest label `perf`) because it asserts on the
+// global registry.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,7 +24,6 @@
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
 #include "circuit/stamp.hpp"
-#include "numeric/newton_guard.hpp"
 #include "numeric/sparse_lu.hpp"
 #include "obs/registry.hpp"
 #include "sim/assembly.hpp"
@@ -33,6 +33,8 @@
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
+
+#include "tran_reference.hpp"
 
 using namespace snim;
 
@@ -246,7 +248,7 @@ TEST_F(AssemblyTest, ReusableLuTakesPartialPathOnlyUnderMatchingKey) {
     SparseCSC<double> a(t);
     std::vector<int> changed = {4, 20};
 
-    ReusableLU<double> rlu{ReusableLU<double>::Options{}};
+    ReusableLU<double> rlu;
     ReusableLU<double>::RefactorHint hint;
     hint.key[0] = 0x1111;
     hint.changed_cols = &changed;
@@ -266,39 +268,6 @@ TEST_F(AssemblyTest, ReusableLuTakesPartialPathOnlyUnderMatchingKey) {
     EXPECT_EQ(obs::counter_value("numeric/lu_partial_refactor"), 1u);
 }
 #endif
-
-// --- Jacobian reuse guard -------------------------------------------------
-
-TEST_F(AssemblyTest, GuardRefactorsOnKeyChangeAndAge) {
-    JacobianReuseGuard g({0.9, 3});
-    JacobianReuseGuard::Key k1{0x10, 2, 1};
-    JacobianReuseGuard::Key k2{0x20, 2, 1};
-    EXPECT_TRUE(g.should_refactor(k1)); // no factors yet
-    g.on_refactor(k1);
-    EXPECT_FALSE(g.should_refactor(k1));
-    EXPECT_TRUE(g.should_refactor(k2)); // dt changed
-    for (int i = 0; i < 3; ++i) g.on_iteration(1e-3, /*reused=*/true);
-    EXPECT_TRUE(g.should_refactor(k1)); // age cap
-    g.on_refactor(k1);
-    EXPECT_EQ(g.age(), 0);
-}
-
-TEST_F(AssemblyTest, GuardDetectsStallAndEndgame) {
-    JacobianReuseGuard g({0.5, 32});
-    g.on_refactor({1, 2, 3});
-    EXPECT_FALSE(g.stalled(1.0)); // no reference yet
-    g.on_iteration(1.0, true);
-    EXPECT_FALSE(g.stalled(0.4)); // contracted by > theta
-    EXPECT_TRUE(g.stalled(0.6));  // did not
-    // Endgame: previous update within margin of tol predicts the accepting
-    // iteration; begin_attempt clears the history so the first solve of the
-    // next attempt can never predict from stale data.
-    g.on_iteration(1e-7, true);
-    EXPECT_TRUE(g.endgame(1e-6, 64.0));
-    EXPECT_FALSE(g.endgame(1e-9, 64.0));
-    g.begin_attempt();
-    EXPECT_FALSE(g.endgame(1e-6, 64.0));
-}
 
 // --- transient engine integration -----------------------------------------
 
@@ -326,60 +295,36 @@ circuit::Netlist ladder_with_mosfet(int stages) {
     return nl;
 }
 
-TEST_F(AssemblyTest, GuardedEngineBitIdenticalToRefactorEveryIteration) {
-    // With the predictor off and the nonlinear set a small fraction of the
-    // matrix, the fresh-preferred guard keeps every default-config
-    // iteration on fresh factors — so the guarded engine must produce the
-    // exact bytes of a run with Jacobian reuse disabled outright (both on
-    // incremental assembly, so the matrix and its ordering are identical).
-    // This is the engine-level proof that partial refactorization and the
-    // guard machinery are value-transparent.
-    sim::TranOptions opt;
-    opt.dt = 20e-12;
-    opt.tstop = 4e-9;
-    opt.newton_predictor = false;
-
-    auto nl1 = ladder_with_mosfet(40);
-    const auto guarded = sim::transient(nl1, {"out"}, opt);
-
-    opt.newton_reuse_jacobian = false;
-    auto nl2 = ladder_with_mosfet(40);
-    const auto fresh = sim::transient(nl2, {"out"}, opt);
-
-    ASSERT_EQ(guarded.time.size(), fresh.time.size());
-    const auto& wi = guarded.wave("out");
-    const auto& wf = fresh.wave("out");
-    ASSERT_EQ(wi.size(), wf.size());
-    EXPECT_EQ(std::memcmp(wi.data(), wf.data(), wi.size() * sizeof(double)), 0);
-}
-
 TEST_F(AssemblyTest, IncrementalEngineMatchesFullRestampWithinTolerance) {
-    // The legacy engine keeps the seed's column ordering while the
-    // incremental engine orders the nonlinear columns last, so the two are
-    // deliberately NOT bitwise comparable — but both converge every step to
-    // the same Newton tolerance, so the waveforms must agree well inside it.
+    // The reference re-stamps and freshly factors every Newton iteration in
+    // the natural min-degree order, while the engine orders the nonlinear
+    // columns last and starts Newton from the linear predictor, so the two
+    // are deliberately NOT bitwise comparable — but both converge every
+    // step to the same Newton tolerance, so the waveforms must agree well
+    // inside it.
     sim::TranOptions opt;
     opt.dt = 20e-12;
     opt.tstop = 4e-9;
 
     auto nl1 = ladder_with_mosfet(40);
-    const auto incremental = sim::transient(nl1, {"out"}, opt);
+    const auto engine = sim::transient(nl1, {"out"}, opt);
 
-    opt.incremental_assembly = false;
-    opt.newton_reuse_jacobian = false;
-    opt.newton_predictor = false;
     auto nl2 = ladder_with_mosfet(40);
-    const auto full = sim::transient(nl2, {"out"}, opt);
+    const auto ref = test::reference_transient(nl2, {"out"}, opt);
 
-    ASSERT_EQ(incremental.time.size(), full.time.size());
-    const auto& wi = incremental.wave("out");
-    const auto& wf = full.wave("out");
-    ASSERT_EQ(wi.size(), wf.size());
-    for (size_t k = 0; k < wi.size(); ++k)
-        EXPECT_NEAR(wi[k], wf[k], 1e-6) << "sample " << k;
+    ASSERT_EQ(engine.time, ref.time);
+    const auto& we = engine.wave("out");
+    const auto& wr = ref.wave("out");
+    ASSERT_EQ(we.size(), wr.size());
+    for (size_t k = 0; k < we.size(); ++k)
+        EXPECT_NEAR(we[k], wr[k], 1e-6) << "sample " << k;
 }
 
 TEST_F(AssemblyTest, PredictorKeepsWaveformWithinNewtonTolerance) {
+    // Newton starts every step from the linear predictor, so each step stops
+    // at a different point inside the tolerance box than a cold start
+    // would.  Against the same engine converged a thousand times tighter,
+    // the default-tolerance waveform must stay within that box.
     sim::TranOptions opt;
     opt.dt = 20e-12;
     opt.tstop = 4e-9;
@@ -387,15 +332,17 @@ TEST_F(AssemblyTest, PredictorKeepsWaveformWithinNewtonTolerance) {
     auto nl1 = ladder_with_mosfet(40);
     const auto predicted = sim::transient(nl1, {"out"}, opt);
 
-    opt.newton_predictor = false;
+    opt.vntol *= 1e-3;
+    opt.reltol *= 1e-3;
     auto nl2 = ladder_with_mosfet(40);
-    const auto stepped = sim::transient(nl2, {"out"}, opt);
+    const auto converged = sim::transient(nl2, {"out"}, opt);
 
-    ASSERT_EQ(predicted.time.size(), stepped.time.size());
+    ASSERT_EQ(predicted.time, converged.time);
     const auto& wp = predicted.wave("out");
-    const auto& ws = stepped.wave("out");
+    const auto& wc = converged.wave("out");
+    ASSERT_EQ(wp.size(), wc.size());
     for (size_t k = 0; k < wp.size(); ++k)
-        EXPECT_NEAR(wp[k], ws[k], 1e-6) << "sample " << k;
+        EXPECT_NEAR(wp[k], wc[k], 1e-6) << "sample " << k;
 }
 
 #if SNIM_OBS_ENABLED
@@ -413,41 +360,6 @@ TEST_F(AssemblyTest, DefaultRunDoesExactlyOneFullAssembly) {
     EXPECT_GT(obs::counter_value("sim/assemble_cache_hits"), 0u);
     EXPECT_GT(obs::counter_value("numeric/lu_partial_refactor"), 0u);
 }
-
-#if SNIM_FAULTS_ENABLED
-TEST_F(AssemblyTest, StaleJacobianFaultTripsCountedFallback) {
-    // A MOSFET-dominated system (nonlinear columns are most of the matrix)
-    // keeps the stale-reuse path active; the injected stall forces the
-    // guarded fallback, which must refactor and finish the run cleanly.
-    obs::set_enabled(true);
-    circuit::Netlist nl;
-    nl.add<circuit::VSource>("vin", nl.node("g"), circuit::kGround,
-                             circuit::Waveform::sin(0.9, 0.3, 2e8));
-    nl.add<circuit::VSource>("vdd", nl.node("vdd"), circuit::kGround,
-                             circuit::Waveform::dc(1.8));
-    nl.add<circuit::Resistor>("rd", nl.node("vdd"), nl.node("out"), 2e3);
-    nl.add<circuit::Mosfet>("m0", nl.node("out"), nl.node("g"), circuit::kGround,
-                            circuit::kGround, tech::generic180().mos_model("nch"),
-                            circuit::MosGeometry{});
-    nl.add<circuit::Capacitor>("cl", nl.node("out"), circuit::kGround, 5e-13);
-
-    fault::arm(fault::parse_spec("tran.newton.stale_jacobian@2x5"));
-    sim::TranOptions opt;
-    opt.dt = 20e-12;
-    opt.tstop = 4e-9;
-    // Tight tolerances keep steps in Newton for several iterations, so the
-    // mid-iteration updates sit above the endgame margin and the stale
-    // path actually runs (the default tolerances converge too fast here).
-    opt.vntol = 1e-9;
-    opt.reltol = 1e-6;
-    const auto res = sim::transient(nl, {"out"}, opt);
-
-    EXPECT_GT(obs::counter_value("sim/jacobian_reuse"), 0u);
-    EXPECT_GE(obs::counter_value("sim/jacobian_stale_fallbacks"), 1u);
-    EXPECT_EQ(res.time.size(), res.wave("out").size());
-    for (double v : res.wave("out")) EXPECT_TRUE(std::isfinite(v));
-}
-#endif
 #endif
 
 } // namespace

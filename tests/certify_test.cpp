@@ -319,7 +319,7 @@ TEST_F(CertifyTest, TransientKclAuditFeedsChannelsAndBudget) {
     const auto kcl = obs::value_stats("sim/kcl_worst_residual");
     ASSERT_TRUE(kcl.has_value());
     EXPECT_GT(kcl->count, 0u);
-    EXPECT_LT(kcl->max, opt.kcl_max);
+    EXPECT_LT(kcl->max, sim::kKclMax);
     EXPECT_TRUE(obs::ts_get("sim/transient/kcl_residual").has_value());
     EXPECT_GT(obs::counter_value("numeric/solve_certificates"), 0u);
     EXPECT_EQ(obs::counter_value("numeric/ir_refinement_steps"), 0u);

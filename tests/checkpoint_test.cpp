@@ -377,14 +377,12 @@ TEST_F(CheckpointTest, MidRunResumeIsBitIdentical) {
     }
 }
 
-TEST_F(CheckpointTest, ResumeIsBitIdenticalWithStaleJacobianReuseActive) {
-    // Tight Newton tolerances keep steps iterating long enough that the
-    // modified-Newton stale path actually runs (the endgame predictor
-    // otherwise refactors straight away).  A resumed run must still
-    // reproduce the uninterrupted waveform exactly: the guard is
-    // invalidated at nominal-step boundaries, so the resume point carries
-    // no hidden factor state, and the (dt, order) companion cache and the
-    // predictor history rebuild deterministically from the snapshot.
+TEST_F(CheckpointTest, ResumeIsBitIdenticalUnderTightNewtonTolerances) {
+    // Tight Newton tolerances keep steps iterating for several passes, so
+    // the partial-refactor key, the (dt, order) companion cache and the
+    // predictor history are all exercised across the resume point.  A
+    // resumed run must still reproduce the uninterrupted waveform exactly:
+    // each rebuilds deterministically from the snapshot.
     auto tight = base_options();
     tight.vntol = 1e-9;
     tight.reltol = 1e-6;
@@ -392,7 +390,7 @@ TEST_F(CheckpointTest, ResumeIsBitIdenticalWithStaleJacobianReuseActive) {
     auto nl_a = test_netlist();
     const auto clean = sim::transient(nl_a, kProbes, tight);
 
-    const std::string dir = scratch("resume_stale");
+    const std::string dir = scratch("resume_tight");
     auto opt = tight;
     opt.checkpoint.dir = dir;
     opt.checkpoint.every_steps = 25;

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "circuit/diode.hpp"
@@ -251,6 +252,43 @@ TEST_F(DiagnosticsTest, ValidateTranOptionsNamesTheField) {
     bad = ok;
     bad.diag_tail = 0;
     expect_raises_naming(bad, "diag_tail");
+
+    // Non-finite values: +inf dt would round the step count to zero and
+    // return an empty run, NaN tolerances would pass a '< 0' test, and an
+    // infinite or overflowing tstop/dt would overflow the step counter.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    bad = ok;
+    bad.dt = inf;
+    expect_raises_naming(bad, "dt");
+    bad = ok;
+    bad.dt = nan;
+    expect_raises_naming(bad, "dt");
+    bad = ok;
+    bad.tstop = inf;
+    expect_raises_naming(bad, "tstop");
+    bad = ok;
+    bad.tstop = nan;
+    expect_raises_naming(bad, "tstop");
+    bad = ok;
+    bad.tstop = 1e300;
+    bad.dt = 1e-300;
+    expect_raises_naming(bad, "tstop/dt");
+    bad = ok;
+    bad.reltol = nan;
+    expect_raises_naming(bad, "reltol");
+    bad = ok;
+    bad.reltol = inf;
+    expect_raises_naming(bad, "reltol");
+    bad = ok;
+    bad.vntol = nan;
+    expect_raises_naming(bad, "vntol");
+    bad = ok;
+    bad.vntol = inf;
+    expect_raises_naming(bad, "vntol");
+    bad = ok;
+    bad.record_start = nan;
+    expect_raises_naming(bad, "record_start");
 }
 
 TEST_F(DiagnosticsTest, StepTelemetryRingKeepsLastN) {

@@ -14,6 +14,8 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/impact_flow.hpp"
 #include "obs/bench.hpp"
@@ -111,24 +113,54 @@ TEST_F(ProvenanceTest, TranOptionsDigestSeesEveryPerturbedField) {
     sim::TranOptions base;
     const uint64_t h0 = digest_of(base);
 
-    sim::TranOptions o = base;
-    o.reltol *= 2.0;
-    EXPECT_NE(digest_of(o), h0);
-    o = base;
-    o.order = 1;
-    EXPECT_NE(digest_of(o), h0);
-    o = base;
-    o.reuse_lu = !o.reuse_lu;
-    EXPECT_NE(digest_of(o), h0);
-    o = base;
-    o.lte_control = !o.lte_control;
-    EXPECT_NE(digest_of(o), h0);
-    o = base;
-    o.max_step_retries += 1;
-    EXPECT_NE(digest_of(o), h0);
-    o = base;
-    o.initial = {0.0, 1.0};
-    EXPECT_NE(digest_of(o), h0);
+    // One perturbation per field digest_options(TranOptions) adds.  A field
+    // missing from the digest would let a checkpoint written under one
+    // value resume under another, so each must move the digest on its own.
+    const std::vector<std::pair<const char*, void (*)(sim::TranOptions&)>> perturb = {
+        {"tstop", [](sim::TranOptions& o) { o.tstop = 1e-6; }},
+        {"dt", [](sim::TranOptions& o) { o.dt = 1e-9; }},
+        {"order", [](sim::TranOptions& o) { o.order = 1; }},
+        {"gmin", [](sim::TranOptions& o) { o.gmin *= 2.0; }},
+        {"max_newton", [](sim::TranOptions& o) { o.max_newton += 1; }},
+        {"reltol", [](sim::TranOptions& o) { o.reltol *= 2.0; }},
+        {"vntol", [](sim::TranOptions& o) { o.vntol *= 2.0; }},
+        {"dv_max", [](sim::TranOptions& o) { o.dv_max *= 2.0; }},
+        {"record_start", [](sim::TranOptions& o) { o.record_start = 1e-9; }},
+        {"record_stride", [](sim::TranOptions& o) { o.record_stride += 1; }},
+        {"initial", [](sim::TranOptions& o) { o.initial = {0.0, 1.0}; }},
+        {"accumulate_average",
+         [](sim::TranOptions& o) { o.accumulate_average = !o.accumulate_average; }},
+        {"observe", [](sim::TranOptions& o) { o.observe = !o.observe; }},
+        {"diag_bundle", [](sim::TranOptions& o) { o.diag_bundle = !o.diag_bundle; }},
+        {"diag_tail", [](sim::TranOptions& o) { o.diag_tail += 1; }},
+        {"diag_wave_tail", [](sim::TranOptions& o) { o.diag_wave_tail += 1; }},
+        {"adaptive", [](sim::TranOptions& o) { o.adaptive = !o.adaptive; }},
+        {"dt_min", [](sim::TranOptions& o) { o.dt_min = 1e-15; }},
+        {"max_step_retries", [](sim::TranOptions& o) { o.max_step_retries += 1; }},
+        {"dt_recovery_accepts",
+         [](sim::TranOptions& o) { o.dt_recovery_accepts += 1; }},
+        {"lte_control", [](sim::TranOptions& o) { o.lte_control = !o.lte_control; }},
+        {"lte_reltol", [](sim::TranOptions& o) { o.lte_reltol = 1e-3; }},
+        {"lte_abstol", [](sim::TranOptions& o) { o.lte_abstol = 1e-3; }},
+        {"retry_history", [](sim::TranOptions& o) { o.retry_history += 1; }},
+        {"certify.enabled",
+         [](sim::TranOptions& o) { o.certify.enabled = !o.certify.enabled; }},
+        {"certify.omega_max", [](sim::TranOptions& o) { o.certify.omega_max *= 2.0; }},
+        {"certify.rcond_min", [](sim::TranOptions& o) { o.certify.rcond_min *= 2.0; }},
+        {"certify.refine",
+         [](sim::TranOptions& o) { o.certify.refine = !o.certify.refine; }},
+        {"certify.max_refine_steps",
+         [](sim::TranOptions& o) { o.certify.max_refine_steps += 1; }},
+        {"certify.stride", [](sim::TranOptions& o) { o.certify.stride += 1; }},
+    };
+    std::set<uint64_t> seen = {h0};
+    for (const auto& [field, edit] : perturb) {
+        sim::TranOptions o = base;
+        edit(o);
+        const uint64_t h = digest_of(o);
+        EXPECT_NE(h, h0) << field << " is not in the digest";
+        EXPECT_TRUE(seen.insert(h).second) << field << " collides with another field";
+    }
     // And stability: the same options digest identically.
     EXPECT_EQ(digest_of(base), h0);
 }

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "circuit/diode.hpp"
@@ -310,18 +311,6 @@ TEST_F(RecoveryTest, RetryCountersAndDtChannelLandInRegistry) {
     for (double v : dt_ts->value) dt_min_seen = std::min(dt_min_seen, v);
     EXPECT_NEAR(dt_min_seen, opt.dt / 4.0, 1e-21); // two halvings deep
 }
-
-TEST_F(RecoveryTest, DensePathReportsUnitFillGrowth) {
-    auto nl = sine_rc_netlist(); // 3 unknowns -> dense fast path
-    auto opt = sine_options();
-    opt.reuse_lu = false; // legacy engine: dense LU below dense_crossover
-    opt.observe = true;
-    sim::transient(nl, {"out"}, opt);
-    const auto fill = obs::ts_get("sim/transient/lu_fill_growth");
-    ASSERT_TRUE(fill.has_value()); // the health lane exists on the dense path
-    EXPECT_EQ(fill->offered, 50u);
-    for (double v : fill->value) EXPECT_DOUBLE_EQ(v, 1.0);
-}
 #endif // SNIM_OBS_ENABLED
 
 TEST_F(RecoveryTest, HardEdgeIsRescuedByMicroStepping) {
@@ -578,6 +567,12 @@ TEST_F(RecoveryTest, ValidateOpOptionsNamesTheField) {
     bad = ok;
     bad.dv_max = -1.0;
     expect_raises_naming(bad, "dv_max");
+    bad = ok;
+    bad.reltol = std::numeric_limits<double>::quiet_NaN();
+    expect_raises_naming(bad, "reltol");
+    bad = ok;
+    bad.vntol = std::numeric_limits<double>::quiet_NaN();
+    expect_raises_naming(bad, "vntol");
     bad = ok;
     bad.source_steps = 0;
     expect_raises_naming(bad, "source_steps");
