@@ -1,6 +1,7 @@
 #include "circuit/mosfet.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/strings.hpp"
@@ -15,6 +16,26 @@ constexpr double kFc = 0.5;
 constexpr double kSmooth = 0.05;
 
 double lerp(double a, double b, double f) { return a + (b - a) * f; }
+
+/// Linearised channel current into the actual drain terminal over the
+/// terminal voltages (vD, vG, vS, vB).  Conductances are positive for both
+/// polarities; the orientation only picks the coefficients.
+std::array<double, 4> channel_row(const Mosfet::SmallSignal& ss) {
+    const double gsum = ss.gm + ss.gds + ss.gmb;
+    if (ss.swapped) return {gsum, -ss.gm, -ss.gds, -ss.gmb};
+    return {ss.gds, ss.gm, -gsum, ss.gmb};
+}
+
+/// Channel stamp shared by the DC/transient and AC paths: rows D and S over
+/// columns D, G, S, B, always in this order, row S carrying the negatives.
+/// A drain/source swap changes values only, never the call sequence, so a
+/// compiled stamper's tape survives vds crossing zero.
+template <class T>
+void stamp_channel_rows(Stamper<T>& s, const std::vector<NodeId>& t,
+                        const std::array<double, 4>& c) {
+    for (size_t j = 0; j < 4; ++j) s.entry(t[kD], t[j], T(c[j]));
+    for (size_t j = 0; j < 4; ++j) s.entry(t[kS], t[j], T(-c[j]));
+}
 } // namespace
 
 Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b,
@@ -55,6 +76,7 @@ Mosfet::SmallSignal Mosfet::small_signal(const std::vector<double>& x) const {
     const double veff_s = swapped ? vd : vs;
 
     SmallSignal out;
+    out.swapped = swapped;
     out.vds = veff_d - veff_s;
     out.vgs = vg - veff_s;
     out.vbs = vb - veff_s;
@@ -157,31 +179,13 @@ Mosfet::SmallSignal Mosfet::small_signal(const std::vector<double>& x) const {
 
 void Mosfet::stamp_channel(RealStamper& s, const std::vector<double>& x) const {
     const SmallSignal ss = small_signal(x);
-    const double sgn = model_.is_nmos ? 1.0 : -1.0;
-
-    // Determine effective drain/source terminals in actual node space.
-    const double vd = sgn * volt(x, term(kD));
-    const double vs = sgn * volt(x, term(kS));
-    const bool swapped = vd < vs;
-    const NodeId nD = swapped ? term(kS) : term(kD);
-    const NodeId nS = swapped ? term(kD) : term(kS);
-    const NodeId nG = term(kG);
-    const NodeId nB = term(kB);
-
-    // Channel current into effective drain (actual polarity):
-    //   i = gm (vG - vS') + gds (vD' - vS') + gmb (vB - vS') + Ieq
-    // with all conductances positive regardless of polarity.
-    s.transconductance(nD, nS, nG, nS, ss.gm);
-    s.admittance(nD, nS, ss.gds);
-    s.transconductance(nD, nS, nB, nS, ss.gmb);
-
-    const double vgs_a = volt(x, nG) - volt(x, nS);
-    const double vds_a = volt(x, nD) - volt(x, nS);
-    const double vbs_a = volt(x, nB) - volt(x, nS);
-    const double i_d = swapped ? -ss.ids : ss.ids; // into effective drain
-    const double ieq = i_d - ss.gm * vgs_a - ss.gds * vds_a - ss.gmb * vbs_a;
-    s.rhs_current(nD, -ieq);
-    s.rhs_current(nS, ieq);
+    const std::array<double, 4> c = channel_row(ss);
+    stamp_channel_rows(s, nodes(), c);
+    // Companion current into the drain: ids minus its linear part.
+    double ieq = ss.ids;
+    for (size_t j = 0; j < 4; ++j) ieq -= c[j] * volt(x, term(j));
+    s.rhs_current(term(kD), -ieq);
+    s.rhs_current(term(kS), ieq);
 }
 
 void Mosfet::stamp_dc(RealStamper& s, const std::vector<double>& x) const {
@@ -303,18 +307,7 @@ void Mosfet::load_tran_state(const std::vector<double>& in, size_t& pos) {
 void Mosfet::stamp_ac(ComplexStamper& s, const std::vector<double>& xop,
                       double omega) const {
     const SmallSignal ss = small_signal(xop);
-    const double sgn = model_.is_nmos ? 1.0 : -1.0;
-    const double vd = sgn * volt(xop, term(kD));
-    const double vs = sgn * volt(xop, term(kS));
-    const bool swapped = vd < vs;
-    const NodeId nD = swapped ? term(kS) : term(kD);
-    const NodeId nS = swapped ? term(kD) : term(kS);
-    const NodeId nG = term(kG);
-    const NodeId nB = term(kB);
-
-    s.transconductance(nD, nS, nG, nS, {ss.gm, 0.0});
-    s.admittance(nD, nS, {ss.gds, 0.0});
-    s.transconductance(nD, nS, nB, nS, {ss.gmb, 0.0});
+    stamp_channel_rows(s, nodes(), channel_row(ss));
 
     s.admittance(term(kG), term(kS), {0.0, omega * ss.cgs});
     s.admittance(term(kG), term(kD), {0.0, omega * ss.cgd});

@@ -33,6 +33,9 @@ public:
         double gds = 0.0; // [S]
         double gmb = 0.0; // back-gate transconductance [S]
         double vgs = 0.0, vds = 0.0, vbs = 0.0; // effective (device polarity)
+        /// Drain and source trade places (vds < 0 in device polarity): the
+        /// effective frame above is taken from the actual source.
+        bool swapped = false;
         double vt = 0.0;
         bool saturated = false;
         bool on = false;

@@ -10,9 +10,11 @@
 // scatters values straight into the CSC value array — no triplet rebuild,
 // sort, or duplicate merge.  Device stamp sequences are value-independent
 // (same entry() calls in the same order every pass), which is what makes the
-// fixed map valid; a sequence that deviates anyway demotes the pass back to
-// triplet assembly and relearns, so compiled mode is always correct, just
-// fast when the precondition holds.  The compiled image is bit-identical to
+// fixed map valid.  That is a contract, not a hint: a compiled pass that
+// deviates from the tape, or ends short of it, raises a "stamp tape
+// deviation" snim::Error naming the call index and the call it expected and
+// got.  A MOSFET whose drain and source trade places keeps its call
+// positions and changes only values.  The compiled image is bit-identical to
 // the triplet-built CSC: the CSC constructor merges duplicates in insertion
 // order (stable sort) and the scatter path assigns the first duplicate and
 // accumulates the rest in the same stamp order.
@@ -20,9 +22,10 @@
 
 #include <algorithm>
 #include <complex>
+#include <string>
 
 #include "numeric/sparse.hpp"
-#include "obs/registry.hpp"
+#include "util/error.hpp"
 
 namespace snim::circuit {
 
@@ -50,10 +53,8 @@ public:
             rhs_cursor_ = 0;
         } else {
             a_.clear();
-            if (rhs_tape_) {
-                rhs_nodes_seq_.clear();
-                rhs_vals_seq_.clear();
-            }
+            rhs_nodes_seq_.clear();
+            rhs_vals_seq_.clear();
         }
         std::fill(b_.begin(), b_.end(), T{});
     }
@@ -74,36 +75,24 @@ public:
     /// transient assembler can rebuild RHS baselines call-by-call.  Must be
     /// enabled before the first assembly, like compiled mode.
     void enable_rhs_tape() { rhs_tape_ = true; }
-    /// False once a pass's RHS call sequence deviated from the learned one
-    /// (the recorded values are then stale); reset by the next relearn.
-    bool rhs_tape_ok() const { return rhs_tape_ok_; }
 
     /// Raw matrix entry A(row, col) += v; ground rows/cols dropped.
     void entry(NodeId row, NodeId col, T v) {
         if (row < 0 || col < 0) return;
-        if (mapped_) {
-            if (overlay_ && overlay_failed_) return;
-            if (cursor_ < rows_seq_.size() && rows_seq_[cursor_] == row &&
-                cols_seq_[cursor_] == col) {
-                seq_vals_[cursor_] = v;
-                T& slot = csc_.values_mut()[static_cast<size_t>(map_[cursor_])];
-                if (first_[cursor_])
-                    slot = v;
-                else
-                    slot += v;
-                ++cursor_;
-                return;
-            }
-            if (overlay_) {
-                // A partial re-stamp cannot demote (the rest of the pass is
-                // a restored baseline, not replayable triplets): flag the
-                // deviation and let the assembler rebuild from scratch.
-                overlay_failed_ = true;
-                return;
-            }
-            demote(); // stamp sequence deviated from the learned pattern
+        if (!mapped_) {
+            a_.add(static_cast<size_t>(row), static_cast<size_t>(col), v);
+            return;
         }
-        a_.add(static_cast<size_t>(row), static_cast<size_t>(col), v);
+        if (cursor_ >= rows_seq_.size() || rows_seq_[cursor_] != row ||
+            cols_seq_[cursor_] != col)
+            deviation("matrix", cursor_, mat_call(cursor_), format("(%d,%d)", row, col));
+        seq_vals_[cursor_] = v;
+        T& slot = csc_.values_mut()[static_cast<size_t>(map_[cursor_])];
+        if (first_[cursor_])
+            slot = v;
+        else
+            slot += v;
+        ++cursor_;
     }
 
     /// Two-terminal admittance stamp between nodes a and b.
@@ -127,29 +116,16 @@ public:
     void rhs_current(NodeId n, T i) {
         if (n < 0) return;
         if (rhs_tape_) {
-            if (overlay_) {
-                if (overlay_failed_) return;
-                if (rhs_cursor_ < rhs_nodes_seq_.size() &&
-                    rhs_nodes_seq_[rhs_cursor_] == n) {
-                    rhs_vals_seq_[rhs_cursor_] = i;
-                    ++rhs_cursor_;
-                    b_[static_cast<size_t>(n)] += i;
-                } else {
-                    overlay_failed_ = true;
-                }
-                return;
-            }
-            if (mapped_) {
-                if (rhs_cursor_ < rhs_nodes_seq_.size() &&
-                    rhs_nodes_seq_[rhs_cursor_] == n) {
-                    rhs_vals_seq_[rhs_cursor_] = i;
-                    ++rhs_cursor_;
-                } else {
-                    rhs_tape_ok_ = false; // relearned on the next demote/reset
-                }
-            } else {
+            if (!mapped_) {
                 rhs_nodes_seq_.push_back(n);
                 rhs_vals_seq_.push_back(i);
+            } else {
+                if (rhs_cursor_ >= rhs_nodes_seq_.size() ||
+                    rhs_nodes_seq_[rhs_cursor_] != n)
+                    deviation("rhs", rhs_cursor_, rhs_call(rhs_cursor_),
+                              format("node %d", n));
+                rhs_vals_seq_[rhs_cursor_] = i;
+                ++rhs_cursor_;
             }
         }
         b_[static_cast<size_t>(n)] += i;
@@ -163,20 +139,13 @@ public:
     const std::vector<T>& rhs() const { return b_; }
 
     /// CSC image of the pass assembled since the last clear().  With
-    /// compiled assembly enabled, the first call (and any call after a
-    /// pattern deviation) builds it from the triplets and learns the scatter
-    /// map; later passes return the image entry() already filled in place.
+    /// compiled assembly enabled, the first call builds it from the triplets
+    /// and learns the scatter map; later passes return the image entry()
+    /// already filled in place, after checking they ran the whole tape.
     const SparseCSC<T>& csc() {
         if (mapped_) {
-            if (cursor_ == rows_seq_.size()) {
-                // A pass that made fewer RHS calls than the learned sequence
-                // leaves stale values in the tape tail; flag it for the
-                // incremental assembler (plain consumers read b_ directly).
-                if (rhs_tape_ && rhs_cursor_ != rhs_nodes_seq_.size())
-                    rhs_tape_ok_ = false;
-                return csc_;
-            }
-            demote(); // pass ended short of the learned sequence
+            expect_cursor(rows_seq_.size(), rhs_nodes_seq_.size(), "pass");
+            return csc_;
         }
         csc_ = SparseCSC<T>(a_);
         if (compile_enabled_) learn_map();
@@ -187,58 +156,24 @@ public:
     // The transient assembler restores a precomputed linear baseline into
     // the CSC value array / RHS, then re-stamps only the nonlinear devices
     // ("overlay"): each device's calls are verified against the learned
-    // tape from its recorded span position.  A deviation (a value-dependent
-    // stamp sequence) sets overlay_failed_ instead of demoting — the rest
-    // of the pass is a restored image, not replayable triplets — and the
-    // assembler falls back to a full relearn pass.
+    // tape from its recorded span position, exactly as in a full pass.
 
-    /// Enters overlay mode.  Requires a learned map; returns false (and
-    /// stays out of overlay mode) otherwise.
-    bool begin_overlay() {
-        if (!mapped_) return false;
-        overlay_ = true;
-        overlay_failed_ = false;
-        return true;
-    }
     /// Positions the matrix/RHS cursors at a recorded device span so the
     /// device's stamp calls overwrite exactly its learned tape positions.
     void overlay_seek(size_t mat_pos, size_t rhs_pos) {
+        SNIM_ASSERT(mapped_, "stamp overlay before the tape was learned");
         cursor_ = mat_pos;
         rhs_cursor_ = rhs_pos;
     }
-    size_t mat_cursor() const { return cursor_; }
-    size_t rhs_cursor() const { return rhs_cursor_; }
-    bool overlay_failed() const { return overlay_failed_; }
-    /// Leaves overlay mode; on a clean overlay the pass is marked complete
-    /// (csc() returns the image without a demotion).  Returns success.
-    bool end_overlay() {
-        overlay_ = false;
-        if (overlay_failed_) return false;
+    /// Raises the tape-deviation error unless the re-stamped span ended
+    /// exactly at its recorded end.
+    void overlay_check(size_t mat_end, size_t rhs_end) const {
+        expect_cursor(mat_end, rhs_end, "span");
+    }
+    /// Marks the overlaid pass complete, so csc() returns the image.
+    void end_overlay() {
         cursor_ = rows_seq_.size();
         rhs_cursor_ = rhs_nodes_seq_.size();
-        return true;
-    }
-
-    /// Drops the learned map, tapes and triplets entirely (back to the
-    /// pre-learning state); the next full pass relearns everything.  Used
-    /// by the incremental assembler when a device's stamp sequence turned
-    /// out to be value-dependent.
-    void reset_compiled() {
-        mapped_ = false;
-        overlay_ = false;
-        overlay_failed_ = false;
-        cursor_ = 0;
-        rows_seq_.clear();
-        cols_seq_.clear();
-        seq_vals_.clear();
-        map_.clear();
-        first_.clear();
-        rhs_nodes_seq_.clear();
-        rhs_vals_seq_.clear();
-        rhs_cursor_ = 0;
-        rhs_tape_ok_ = true;
-        a_.clear();
-        std::fill(b_.begin(), b_.end(), T{});
     }
 
     // Tape/scatter introspection for the incremental assembler.  All views
@@ -272,23 +207,34 @@ public:
     double source_scale() const { return source_scale_; }
 
 private:
-    /// Leaves compiled mode: replays the values scattered so far this pass
-    /// back into the triplet accumulator so assembly continues seamlessly.
-    /// The next csc() call relearns the map from the new sequence.
-    void demote() {
-        mapped_ = false;
-        if (obs::enabled()) obs::count("circuit/stamp_map_fallbacks");
-        a_.clear();
-        for (size_t i = 0; i < cursor_; ++i)
-            a_.add(static_cast<size_t>(rows_seq_[i]), static_cast<size_t>(cols_seq_[i]),
-                   seq_vals_[i]);
-        cursor_ = 0;
-        if (rhs_tape_) {
-            // Keep the RHS calls verified so far this pass; the rest of the
-            // pass appends, and the next csc() relearns from the new tape.
-            rhs_nodes_seq_.resize(rhs_cursor_);
-            rhs_vals_seq_.resize(rhs_cursor_);
-        }
+    std::string mat_call(size_t k) const {
+        return k < rows_seq_.size() ? format("(%d,%d)", rows_seq_[k], cols_seq_[k])
+                                    : std::string("end of tape");
+    }
+    std::string rhs_call(size_t k) const {
+        return k < rhs_nodes_seq_.size() ? format("node %d", rhs_nodes_seq_[k])
+                                         : std::string("end of tape");
+    }
+
+    /// A compiled pass left the learned call sequence: device stamps must
+    /// make the same calls in the same order every pass.
+    [[noreturn]] static void deviation(const char* tape, size_t k,
+                                       const std::string& expected,
+                                       const std::string& got) {
+        raise("stamp tape deviation: %s call %zu expected %s, got %s", tape, k,
+              expected.c_str(), got.c_str());
+    }
+
+    /// Raises unless the cursors stopped exactly at (mat_end, rhs_end): a
+    /// cursor short of it made fewer calls, one past it made extra calls.
+    void expect_cursor(size_t mat_end, size_t rhs_end, const char* what) const {
+        if (cursor_ == mat_end && rhs_cursor_ == rhs_end) return;
+        const std::string end = format("end of %s", what);
+        if (cursor_ < mat_end) deviation("matrix", cursor_, mat_call(cursor_), end);
+        if (cursor_ > mat_end) deviation("matrix", mat_end, end, mat_call(mat_end));
+        if (rhs_cursor_ < rhs_end)
+            deviation("rhs", rhs_cursor_, rhs_call(rhs_cursor_), end);
+        deviation("rhs", rhs_end, end, rhs_call(rhs_end));
     }
 
     void learn_map() {
@@ -321,7 +267,6 @@ private:
         mapped_ = true;
         cursor_ = nz; // the learning pass itself is complete and consistent
         rhs_cursor_ = rhs_nodes_seq_.size();
-        rhs_tape_ok_ = true;
     }
 
     Triplets<T> a_;
@@ -334,14 +279,11 @@ private:
     SparseCSC<T> csc_;           // compiled image (values of the current pass)
     std::vector<int> rows_seq_;  // learned sequence: row per stamp call
     std::vector<int> cols_seq_;  // learned sequence: col per stamp call
-    std::vector<T> seq_vals_;    // values of the current pass (for demote)
+    std::vector<T> seq_vals_;    // values of the current pass
     std::vector<int> map_;       // stamp call -> CSC value slot
     std::vector<char> first_;    // first stamp landing in its slot -> assign
 
     bool rhs_tape_ = false;          // record the RHS call sequence
-    bool rhs_tape_ok_ = true;        // tape matches the last full pass
-    bool overlay_ = false;           // partial re-stamp against the tape
-    bool overlay_failed_ = false;    // overlay deviated; image is suspect
     size_t rhs_cursor_ = 0;          // position in the learned RHS sequence
     std::vector<int> rhs_nodes_seq_; // learned sequence: node per rhs call
     std::vector<T> rhs_vals_seq_;    // RHS values of the current pass

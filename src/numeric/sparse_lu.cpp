@@ -545,7 +545,6 @@ void ReusableLU<T>::factor(const SparseCSC<T>& a, const RefactorHint& hint) {
     const auto adopt_key = [&] {
         hint_key_[0] = hint.key[0];
         hint_key_[1] = hint.key[1];
-        hint_key_[2] = hint.key[2];
     };
     if (!lu_ || a.col_ptr() != pattern_cp_ || a.row_idx() != pattern_ri_) {
         full_factor(a, hint.changed_cols);
@@ -562,9 +561,8 @@ void ReusableLU<T>::factor(const SparseCSC<T>& a, const RefactorHint& hint) {
     // no column list) pays for the full numeric refactor.
     const bool partial_ok =
         hint.changed_cols != nullptr &&
-        (hint.key[0] | hint.key[1] | hint.key[2]) != 0 &&
-        hint.key[0] == hint_key_[0] && hint.key[1] == hint_key_[1] &&
-        hint.key[2] == hint_key_[2];
+        (hint.key[0] | hint.key[1]) != 0 && hint.key[0] == hint_key_[0] &&
+        hint.key[1] == hint_key_[1];
     bool ok;
     if (!forced && partial_ok) {
         ok = lu_->refactor_partial(a, *hint.changed_cols);

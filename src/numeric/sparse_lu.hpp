@@ -166,14 +166,14 @@ public:
 
     /// Caller-supplied context for an incremental refactorization.  `key` is
     /// an opaque fingerprint of everything that shapes the matrix OUTSIDE
-    /// the columns in `changed_cols` (for transient assembly: dt bits,
-    /// integration order, assembler epoch).  When a factor() call carries
-    /// the same nonzero key as the factors it would refresh, only the
-    /// elimination closure of `changed_cols` is recomputed — bit-identical
-    /// to a full refactor by construction.  A zero key, a key change, or a
+    /// the columns in `changed_cols` (for transient assembly: dt bits and
+    /// integration order).  When a factor() call carries the same nonzero
+    /// key as the factors it would refresh, only the elimination closure of
+    /// `changed_cols` is recomputed — bit-identical to a full refactor by
+    /// construction.  A zero key, a key change, or a
     /// null column list falls back to the full numeric refactor.
     struct RefactorHint {
-        uint64_t key[3] = {0, 0, 0};
+        uint64_t key[2] = {0, 0};
         const std::vector<int>* changed_cols = nullptr;
     };
 
@@ -202,7 +202,7 @@ private:
     std::unique_ptr<SparseLU<T>> lu_;
     std::vector<int> pattern_cp_, pattern_ri_; // pattern the cache was built on
     double ref_min_pivot_ = 0.0; // min |pivot| of the last full factorization
-    uint64_t hint_key_[3] = {0, 0, 0}; // key of the factors currently held
+    uint64_t hint_key_[2] = {0, 0}; // key of the factors currently held
 };
 
 extern template class SparseLU<double>;

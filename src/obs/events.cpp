@@ -51,7 +51,7 @@ std::FILE* g_stream = nullptr; // owned unless == stderr
 bool g_stream_is_stderr = false;
 
 using Clock = std::chrono::steady_clock;
-Clock::time_point journal_epoch() {
+Clock::time_point journal_t0() {
     static const Clock::time_point t0 = Clock::now();
     return t0;
 }
@@ -113,14 +113,14 @@ bool events_active() { return g_active.load(std::memory_order_relaxed); }
 
 void set_events_active(bool on) {
     if (on) {
-        (void)journal_epoch(); // start the journal clock
+        (void)journal_t0(); // start the journal clock
         install_log_bridge();
     }
     g_active.store(on, std::memory_order_relaxed);
 }
 
 double event_now_s() {
-    return std::chrono::duration<double>(Clock::now() - journal_epoch()).count();
+    return std::chrono::duration<double>(Clock::now() - journal_t0()).count();
 }
 
 void event(EventLevel level, std::string_view component, std::string_view code,

@@ -18,13 +18,13 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
-SteadyClock::time_point real_epoch() {
+SteadyClock::time_point real_t0() {
     static const SteadyClock::time_point t0 = SteadyClock::now();
     return t0;
 }
 
 double real_now_s() {
-    return std::chrono::duration<double>(SteadyClock::now() - real_epoch()).count();
+    return std::chrono::duration<double>(SteadyClock::now() - real_t0()).count();
 }
 
 std::atomic<HeartbeatClock> g_clock{nullptr};
@@ -39,7 +39,7 @@ std::atomic<double> g_interval{1.0};
 std::atomic<double> g_last_beat{-1.0e18};
 std::atomic<uint64_t> g_heartbeats{0};
 
-/// Watchdog activity stamp: ALWAYS the real clock (ns since real_epoch(),
+/// Watchdog activity stamp: ALWAYS the real clock (ns since real_t0(),
 /// 0 = never), so fake-clock tests cannot mask or fabricate a stall.
 std::atomic<int64_t> g_last_activity_ns{0};
 
@@ -207,14 +207,14 @@ double last_activity_age_s() {
     const int64_t ns = g_last_activity_ns.load(std::memory_order_relaxed);
     if (ns == 0) return 1.0e18; // never
     const int64_t now_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               SteadyClock::now() - real_epoch())
+                               SteadyClock::now() - real_t0())
                                .count();
     return static_cast<double>(now_ns - ns) * 1e-9;
 }
 
 void note_progress_activity() {
     const int64_t now_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               SteadyClock::now() - real_epoch())
+                               SteadyClock::now() - real_t0())
                                .count();
     // 0 is the "never" sentinel; the first nanosecond maps to 1.
     g_last_activity_ns.store(now_ns == 0 ? 1 : now_ns, std::memory_order_relaxed);

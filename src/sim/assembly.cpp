@@ -23,6 +23,7 @@ std::uint64_t dt_key(double dt) {
 TranAssembler::TranAssembler(const circuit::Netlist& netlist,
                              circuit::RealStamper& s, double gmin)
     : netlist_(netlist), s_(s), gmin_(gmin) {
+    SNIM_ASSERT(!s_.compiled_mode(), "TranAssembler needs a stamper with no learned tape");
     s_.enable_compiled_assembly();
     s_.enable_rhs_tape();
     // partition() is a structural constant per device, so the commit list
@@ -36,29 +37,21 @@ TranAssembler::TranAssembler(const circuit::Netlist& netlist,
 void TranAssembler::full_pass(const std::vector<double>& x,
                               const circuit::TranParams& tp) {
     obs::count("sim/assemble_full");
-    s_.reset_compiled();
+    s_.clear();
     s_.set_source_scale(1.0);
     const auto& devices = netlist_.devices();
     spans_.assign(devices.size(), Span{});
-    disabled_at_learn_.assign(devices.size(), 0);
     for (size_t i = 0; i < devices.size(); ++i) {
         Span& sp = spans_[i];
         sp.mat_begin = static_cast<std::uint32_t>(s_.matrix().rows().size());
         sp.rhs_begin = static_cast<std::uint32_t>(s_.rhs_tape_nodes().size());
-        disabled_at_learn_[i] = devices[i]->disabled() ? 1 : 0;
         if (!devices[i]->disabled()) devices[i]->stamp_tran(s_, x, tp);
         sp.mat_end = static_cast<std::uint32_t>(s_.matrix().rows().size());
         sp.rhs_end = static_cast<std::uint32_t>(s_.rhs_tape_nodes().size());
     }
-    gmin_span_.mat_begin = static_cast<std::uint32_t>(s_.matrix().rows().size());
-    gmin_span_.rhs_begin = static_cast<std::uint32_t>(s_.rhs_tape_nodes().size());
     stamp_gmin(netlist_, s_, gmin_);
-    gmin_span_.mat_end = static_cast<std::uint32_t>(s_.matrix().rows().size());
-    gmin_span_.rhs_end = static_cast<std::uint32_t>(s_.rhs_tape_nodes().size());
     s_.csc(); // learns the scatter map; the pass above becomes the tape
     compile(tp);
-    learned_ = true;
-    ++epoch_;
     // Baselines for the remaining iterations of this attempt come straight
     // from the freshly recorded tape.
     image_ = &key_image(tp);
@@ -72,10 +65,8 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
 
     std::vector<char> nl_call(ncalls, 0);
     std::vector<char> nl_rhs(nrhs, 0);
-    nonlinear_.clear();
-    refresh_.clear();
     for (size_t i = 0; i < devices.size(); ++i) {
-        if (disabled_at_learn_[i]) continue;
+        if (devices[i]->disabled()) continue;
         const Span& sp = spans_[i];
         switch (devices[i]->partition()) {
             case circuit::Partition::Nonlinear:
@@ -98,8 +89,6 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
         }
     }
 
-    linear_calls_.clear();
-    linear_rhs_calls_.clear();
     for (size_t k = 0; k < ncalls; ++k)
         if (!nl_call[k]) linear_calls_.push_back(static_cast<std::int32_t>(k));
     for (size_t k = 0; k < nrhs; ++k)
@@ -114,7 +103,6 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
     const auto& slots = s_.tape_slots();
     for (size_t k = 0; k < ncalls; ++k)
         by_slot[static_cast<size_t>(slots[k])].push_back(static_cast<std::int32_t>(k));
-    mixed_slots_.clear();
     for (size_t slot = 0; slot < nnz; ++slot) {
         const auto& calls = by_slot[slot];
         bool seen_nl = false, mixed = false;
@@ -130,8 +118,6 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
     // least one nonlinear stamp call.  Mixed slots are covered too — a slot
     // is only "mixed" because a nonlinear call lands in it.  The slot list
     // itself doubles as the sparse-restore dirty set.
-    nonlinear_cols_.clear();
-    nl_slots_.clear();
     {
         const auto& cp = s_.csc().col_ptr();
         std::vector<char> colhit(s_.size(), 0);
@@ -151,7 +137,6 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
         for (size_t p = 0; p < nnz; ++p)
             if (slothit[p]) nl_slots_.push_back(static_cast<std::int32_t>(p));
     }
-    nl_rhs_nodes_.clear();
     {
         std::vector<char> nodehit(s_.size(), 0);
         const auto& rn = s_.rhs_tape_nodes();
@@ -165,7 +150,6 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
     const auto& rnodes = s_.rhs_tape_nodes();
     for (size_t k = 0; k < nrhs; ++k)
         by_node[static_cast<size_t>(rnodes[k])].push_back(static_cast<std::int32_t>(k));
-    mixed_nodes_.clear();
     for (size_t node = 0; node < by_node.size(); ++node) {
         const auto& calls = by_node[node];
         bool seen_nl = false, mixed = false;
@@ -184,8 +168,6 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
     // (a,a) (b,b) (a,b) (b,a), RHS order -ieq@a +ieq@b, ground dropped)
     // and are cross-checked bitwise against the learned tape; any
     // surprise leaves the device on the slow overlay path.
-    cap_plans_.clear();
-    slow_refresh_.clear();
     const double kord = (tp.order == 2 ? 2.0 : 1.0);
     for (const std::uint32_t i : refresh_) {
         const auto* cap = dynamic_cast<const circuit::Capacitor*>(devices[i].get());
@@ -237,20 +219,9 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
         else
             slow_refresh_.push_back(i);
     }
-
-    cache_.clear();
-    image_ = nullptr;
-    restore_full_ = true;
 }
 
-void TranAssembler::relearn(const std::vector<double>& x,
-                            const circuit::TranParams& tp) {
-    obs::count("sim/assemble_relearn");
-    learned_ = false;
-    full_pass(x, tp);
-}
-
-bool TranAssembler::refresh_tapes(const std::vector<double>& x,
+void TranAssembler::refresh_tapes(const std::vector<double>& x,
                                   const circuit::TranParams& tp) {
     // Planned capacitors: recompute ±geq/±ieq straight into the tape.  The
     // arithmetic is copied from Capacitor::stamp_tran, so the written
@@ -273,22 +244,14 @@ bool TranAssembler::refresh_tapes(const std::vector<double>& x,
                 rv[static_cast<size_t>(k)] = sign > 0 ? ieq : -ieq;
         }
     }
-    if (slow_refresh_.empty()) return true;
-    if (!s_.begin_overlay()) return false;
     const auto& devices = netlist_.devices();
-    bool ok = true;
     for (const std::uint32_t i : slow_refresh_) {
         const Span& sp = spans_[i];
         s_.overlay_seek(sp.mat_begin, sp.rhs_begin);
         devices[i]->stamp_tran(s_, x, tp);
-        if (s_.overlay_failed() || s_.mat_cursor() != sp.mat_end ||
-            s_.rhs_cursor() != sp.rhs_end) {
-            ok = false;
-            break;
-        }
+        s_.overlay_check(sp.mat_end, sp.rhs_end);
     }
-    if (!s_.end_overlay()) ok = false;
-    return ok;
+    s_.end_overlay();
 }
 
 const std::vector<double>& TranAssembler::key_image(const circuit::TranParams& tp) {
@@ -329,20 +292,8 @@ void TranAssembler::build_rhs_base() {
 
 void TranAssembler::begin_attempt(const std::vector<double>& x,
                                   const circuit::TranParams& tp) {
-    if (!learned_) return;
-    const auto& devices = netlist_.devices();
-    for (size_t i = 0; i < devices.size(); ++i)
-        if ((devices[i]->disabled() ? 1 : 0) != disabled_at_learn_[i]) {
-            // An ablation toggle mid-run invalidates every span; relearn.
-            learned_ = false;
-            s_.reset_compiled();
-            return;
-        }
-    if (!refresh_tapes(x, tp)) {
-        learned_ = false;
-        s_.reset_compiled();
-        return;
-    }
+    if (image_ == nullptr) return;
+    refresh_tapes(x, tp);
     image_ = &key_image(tp);
     build_rhs_base();
     // The tape refresh above wrote through to the stamper's CSC/RHS at
@@ -353,7 +304,7 @@ void TranAssembler::begin_attempt(const std::vector<double>& x,
 
 void TranAssembler::assemble(const std::vector<double>& x,
                              const circuit::TranParams& tp) {
-    if (!learned_ || image_ == nullptr) {
+    if (image_ == nullptr) {
         full_pass(x, tp);
         return;
     }
@@ -372,25 +323,14 @@ void TranAssembler::assemble(const std::vector<double>& x,
         for (const std::int32_t i : nl_rhs_nodes_)
             b[static_cast<size_t>(i)] = rhs_base_[static_cast<size_t>(i)];
     }
-    bool ok = s_.begin_overlay();
-    if (ok) {
-        const auto& devices = netlist_.devices();
-        for (const std::uint32_t i : nonlinear_) {
-            const Span& sp = spans_[i];
-            s_.overlay_seek(sp.mat_begin, sp.rhs_begin);
-            devices[i]->stamp_tran(s_, x, tp);
-            if (s_.overlay_failed() || s_.mat_cursor() != sp.mat_end ||
-                s_.rhs_cursor() != sp.rhs_end) {
-                ok = false;
-                break;
-            }
-        }
-        if (!s_.end_overlay()) ok = false;
+    const auto& devices = netlist_.devices();
+    for (const std::uint32_t i : nonlinear_) {
+        const Span& sp = spans_[i];
+        s_.overlay_seek(sp.mat_begin, sp.rhs_begin);
+        devices[i]->stamp_tran(s_, x, tp);
+        s_.overlay_check(sp.mat_end, sp.rhs_end);
     }
-    if (!ok) {
-        relearn(x, tp);
-        return;
-    }
+    s_.end_overlay();
     auto& csc_vals = s_.csc_values_mut();
     const auto& tvals = s_.tape_values();
     for (const auto& m : mixed_slots_) {

@@ -26,13 +26,13 @@
 // baseline-then-overlay.  Slots and RHS nodes where a linear call follows
 // a nonlinear one ("mixed" — e.g. the trailing gmin diagonal stamp on a
 // MOSFET node) are recomputed from the tape call-by-call after the
-// overlay.  Devices whose stamp sequence turns out to be value-dependent
-// (a MOSFET crossing its drain/source swap) break the overlay mid-pass;
-// the assembler then discards the compiled state and relearns with a full
-// pass, counted in sim/assemble_relearn.
+// overlay.  Every device stamp is value-independent (a MOSFET whose vds
+// crosses zero changes values, not call positions), so the tape learned by
+// the one full pass holds for the whole run; an overlay that deviates from
+// it raises the Stamper's tape-deviation error.
 //
 // Registry counters: sim/assemble_full, sim/assemble_incremental,
-// sim/assemble_relearn, sim/assemble_cache_hits, sim/assemble_cache_misses.
+// sim/assemble_cache_hits, sim/assemble_cache_misses.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +50,12 @@ namespace snim::sim {
 class TranAssembler {
 public:
     /// Binds to the netlist/stamper pair for one transient run.  The
-    /// stamper must have compiled assembly enabled; the assembler enables
-    /// its RHS tape.  `gmin` must match what assemble_tran would stamp.
+    /// stamper must have compiled assembly enabled and no learned map yet;
+    /// the assembler enables its RHS tape.  `gmin` must match what
+    /// assemble_tran would stamp.  Each device must stay enabled or
+    /// disabled for the assembler's whole life: the one learning pass fixes
+    /// the tape (ablation studies toggle devices between runs, each with its
+    /// own assembler).
     TranAssembler(const circuit::Netlist& netlist, circuit::RealStamper& s,
                   double gmin);
 
@@ -62,21 +66,12 @@ public:
     void begin_attempt(const std::vector<double>& x, const circuit::TranParams& tp);
 
     /// Assembles the Newton system at iterate `x` into the stamper,
-    /// equivalent bit-for-bit to `s.clear(); assemble_tran(...)`.  Falls
-    /// back to a full learning pass on the first call and whenever an
-    /// overlay deviates.
+    /// equivalent bit-for-bit to `s.clear(); assemble_tran(...)`.  The
+    /// first call is the full learning pass.
     void assemble(const std::vector<double>& x, const circuit::TranParams& tp);
 
-    /// Bumped by every full pass (learn/relearn).  The transient's
-    /// partial-refactor key includes it: a relearn may move entries outside
-    /// nonlinear_cols(), so factors from an earlier epoch must be refreshed
-    /// by a full numeric refactor, never a partial one.
-    std::uint64_t epoch() const { return epoch_; }
-
-    bool learned() const { return learned_; }
-
     /// Original CSC columns the nonlinear overlay can move: between two
-    /// assembles under the same (dt, order, epoch) the matrix is
+    /// assembles under the same (dt, order) the matrix is
     /// bit-identical outside these columns (everything else comes from the
     /// cached linear image).  This is the changed-column seed set for
     /// ReusableLU's partial refactorization.  Valid after the first learn.
@@ -122,8 +117,7 @@ private:
 
     void full_pass(const std::vector<double>& x, const circuit::TranParams& tp);
     void compile(const circuit::TranParams& tp);
-    void relearn(const std::vector<double>& x, const circuit::TranParams& tp);
-    bool refresh_tapes(const std::vector<double>& x, const circuit::TranParams& tp);
+    void refresh_tapes(const std::vector<double>& x, const circuit::TranParams& tp);
     const std::vector<double>& key_image(const circuit::TranParams& tp);
     void build_rhs_base();
 
@@ -131,12 +125,7 @@ private:
     circuit::RealStamper& s_;
     const double gmin_;
 
-    bool learned_ = false;
-    std::uint64_t epoch_ = 0;
-
     std::vector<Span> spans_;          // per device, netlist order
-    std::vector<char> disabled_at_learn_;
-    Span gmin_span_;                   // trailing gmin diagonal stamps
     std::vector<std::uint32_t> nonlinear_;  // device indices, netlist order
     std::vector<std::uint32_t> refresh_;    // linear devices refreshed per attempt
     std::vector<std::uint32_t> slow_refresh_; // refresh_ minus planned capacitors
@@ -147,7 +136,7 @@ private:
     std::vector<Replay> mixed_nodes_;
 
     std::vector<KeyImage> cache_;          // (dt, order) -> linear image
-    const std::vector<double>* image_ = nullptr; // baseline for this attempt
+    const std::vector<double>* image_ = nullptr; // baseline; null until learned
     std::vector<double> rhs_base_;         // linear RHS baseline for this attempt
 
     std::vector<int> nonlinear_cols_;      // CSC columns the overlay can move
@@ -160,7 +149,7 @@ private:
     // O(nnz) copies into O(|nonlinear stamp|).
     std::vector<std::int32_t> nl_slots_;
     std::vector<std::int32_t> nl_rhs_nodes_;
-    bool restore_full_ = true; // begin_attempt/learn invalidate sparse restore
+    bool restore_full_ = true; // begin_attempt invalidates sparse restore
 };
 
 } // namespace snim::sim

@@ -462,20 +462,15 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
                     assembler.assemble(xit, tp);
                 }
                 // Incremental assembly guarantees the matrix outside the
-                // nonlinear columns is the cached linear image, so factors
-                // taken under the same (dt, order, epoch) key can be
+                // nonlinear columns is the cached linear image of this
+                // (dt, order), so factors taken under the same key can be
                 // refreshed by a partial refactorization of just those
-                // columns' elimination closure (a relearn bumps the epoch:
-                // old factors are then structurally wrong, not merely
-                // stale).  order >= 1 keeps the key nonzero, which is what
-                // arms the partial path.
+                // columns' elimination closure.  order >= 1 keeps the key
+                // nonzero, which is what arms the partial path.
                 ReusableLU<double>::RefactorHint hint;
-                if (assembler.learned()) {
-                    std::memcpy(&hint.key[0], &tp.dt, sizeof(hint.key[0]));
-                    hint.key[1] = static_cast<std::uint64_t>(tp.order);
-                    hint.key[2] = assembler.epoch();
-                    hint.changed_cols = &assembler.nonlinear_cols();
-                }
+                std::memcpy(&hint.key[0], &tp.dt, sizeof(hint.key[0]));
+                hint.key[1] = static_cast<std::uint64_t>(tp.order);
+                hint.changed_cols = &assembler.nonlinear_cols();
                 try {
                     obs::ScopedTimer obs_solve("sim/transient/newton/solve");
                     if (fault::fires("tran.lu.singular"))

@@ -15,6 +15,8 @@
 #include <cmath>
 #include <cstring>
 #include <complex>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "circuit/netlist.hpp"
@@ -291,34 +293,50 @@ TEST_F(ParallelTest, CompiledStamperMatchesTripletAssemblyBitwise) {
     EXPECT_TRUE(compiled.compiled_mode());
 }
 
-TEST_F(ParallelTest, CompiledStamperDemotesOnSequenceChangeAndRelearns) {
-#if SNIM_OBS_ENABLED
-    obs::set_enabled(true);
-#endif
+TEST_F(ParallelTest, CompiledStamperRejectsSequenceChange) {
+    const auto expect_deviation = [](const std::function<void()>& pass,
+                                     const std::string& needle) {
+        try {
+            pass();
+            ADD_FAILURE() << "no tape deviation raised";
+        } catch (const Error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("stamp tape deviation"), std::string::npos) << what;
+            EXPECT_NE(what.find(needle), std::string::npos) << what;
+        }
+    };
     circuit::RealStamper s(3);
     s.enable_compiled_assembly();
     s.admittance(0, 1, 1.0);
-    (void)s.csc(); // learn
+    s.entry(2, 2, 4.0);
+    (void)s.csc(); // learn: (0,0) (1,1) (0,1) (1,0) (2,2)
 
-    // A deviating pass: extra stamp not in the learned sequence.
-    s.clear();
-    s.admittance(0, 1, 2.0);
-    s.entry(2, 2, 5.0);
-    const auto& a = s.csc(); // demoted, rebuilt from triplets, relearned
-    EXPECT_EQ(a.to_dense()(2, 2), 5.0);
-    EXPECT_EQ(a.to_dense()(0, 0), 2.0);
-#if SNIM_OBS_ENABLED
-    EXPECT_EQ(obs::counter_value("circuit/stamp_map_fallbacks"), 1u);
-#endif
+    // A deviating call: tape index 4 expects (2,2), the pass stamps (2,1).
+    expect_deviation(
+        [&] {
+            s.clear();
+            s.admittance(0, 1, 2.0);
+            s.entry(2, 1, 5.0);
+        },
+        "matrix call 4 expected (2,2), got (2,1)");
 
-    // The relearned map compiles the NEW sequence.
+    // A short pass: the pass ends where tape index 4 still expects (2,2).
+    expect_deviation(
+        [&] {
+            s.clear();
+            s.admittance(0, 1, 2.0);
+            (void)s.csc();
+        },
+        "matrix call 4 expected (2,2), got end of pass");
+
+    // The learned tape is untouched: a conforming pass still compiles.
     s.clear();
     s.admittance(0, 1, 3.0);
     s.entry(2, 2, 7.0);
-    const auto& b = s.csc();
+    const auto& a = s.csc();
     EXPECT_TRUE(s.compiled_mode());
-    EXPECT_EQ(b.to_dense()(2, 2), 7.0);
-    EXPECT_EQ(b.to_dense()(0, 0), 3.0);
+    EXPECT_EQ(a.to_dense()(2, 2), 7.0);
+    EXPECT_EQ(a.to_dense()(0, 0), 3.0);
 }
 
 // --- transient engine -----------------------------------------------------
