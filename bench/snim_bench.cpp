@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "core/accuracy.hpp"
 #include "obs/bench.hpp"
 #include "obs/events.hpp"
 #include "obs/profiler.hpp"
@@ -257,6 +258,17 @@ int run(const Args& a) {
         return 0;
     }
     if (scenarios.empty()) raise("no scenario matches filter '%s'", a.filter.c_str());
+    // Resolve every selected scenario's reference files up front: a missing
+    // CSV must fail before the first scenario runs, not after the work of
+    // every scenario sorted ahead of it.
+    for (const auto* s : scenarios)
+        for (const auto& file : s->references) {
+            try {
+                core::find_reference_file(file);
+            } catch (const Error& e) {
+                raise("scenario '%s': %s", s->name.c_str(), e.what());
+            }
+        }
 
     obs::BenchOptions opt;
     opt.quick = a.quick;

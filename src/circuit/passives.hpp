@@ -32,11 +32,19 @@ public:
     double capacitance() const { return c_; }
     void set_capacitance(double c);
 
-    // Integration state, read by the incremental assembler's compiled
-    // refresh plan (which recomputes the companion stamp values without
+    // Integration state, read and committed by the incremental assembler's
+    // compiled plan (which recomputes the companion stamp values without
     // replaying stamp_tran).
     double tran_v_prev() const { return v_prev_; }
     double tran_i_prev() const { return i_prev_; }
+    /// commit_tran with the branch voltage and companion conductance
+    /// already computed (geq as stamp_tran derives it from dt and order):
+    /// the compiled commit of the same plan.
+    void commit_companion(double v, double geq, int order) {
+        const double i = (order == 2) ? geq * (v - v_prev_) - i_prev_ : geq * (v - v_prev_);
+        v_prev_ = v;
+        i_prev_ = i;
+    }
 
     void stamp_dc(RealStamper& s, const std::vector<double>& x) const override;
     void stamp_tran(RealStamper& s, const std::vector<double>& x,

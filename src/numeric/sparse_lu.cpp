@@ -25,16 +25,8 @@ double mag(const T& v) {
 // tie-breaking, and once the cheapest remaining node touches everything
 // left, the tail is a clique no ordering can improve — it is flushed in
 // index order, which also bounds the clique-update cost on dense patterns.
-//
-// `delayed` (optional, indexed by node) holds nodes that must be eliminated
-// after every other node: they are skipped by the degree selection and
-// appended in index order once the rest is gone.  Partial refactorization
-// is the customer — pushing the columns that change every Newton iteration
-// to the end of the elimination order shrinks their update closure to just
-// themselves, at a small fill cost confined to the feature that asks for it.
 std::vector<int> min_degree_order(size_t n, const std::vector<int>& cp,
-                                  const std::vector<int>& ri,
-                                  const std::vector<char>* delayed = nullptr) {
+                                  const std::vector<int>& ri) {
     std::vector<std::vector<int>> adj(n);
     for (size_t j = 0; j < n; ++j)
         for (int p = cp[j]; p < cp[j + 1]; ++p) {
@@ -59,25 +51,15 @@ std::vector<int> min_degree_order(size_t n, const std::vector<int>& cp,
         int v = -1;
         size_t best = n + 1;
         for (size_t i = 0; i < n; ++i)
-            if (!dead[i] && !(delayed && (*delayed)[i]) && adj[i].size() < best) {
+            if (!dead[i] && adj[i].size() < best) {
                 best = adj[i].size();
                 v = static_cast<int>(i);
             }
-        if (v < 0) { // only delayed nodes left: flush them in index order
+        if (best + 1 >= alive) {
+            // Dense tail: the cheapest node touches everything left, so
+            // ordering can no longer help — flush in index order.
             for (size_t i = 0; i < n; ++i)
                 if (!dead[i]) order.push_back(static_cast<int>(i));
-            break;
-        }
-        if (best + 1 >= alive) {
-            // Dense tail: the cheapest selectable node touches everything
-            // left, so ordering can no longer help — flush in index order,
-            // keeping any delayed nodes strictly last.
-            for (size_t i = 0; i < n; ++i)
-                if (!dead[i] && !(delayed && (*delayed)[i]))
-                    order.push_back(static_cast<int>(i));
-            if (delayed)
-                for (size_t i = 0; i < n; ++i)
-                    if (!dead[i] && (*delayed)[i]) order.push_back(static_cast<int>(i));
             break;
         }
         order.push_back(v);
@@ -111,9 +93,7 @@ std::vector<int> min_degree_order(size_t n, const std::vector<int>& cp,
 } // namespace
 
 template <class T>
-SparseLU<T>::SparseLU(const SparseCSC<T>& a, double pivot_tol,
-                      const std::vector<int>* last_cols)
-    : n_(a.size()) {
+SparseLU<T>::SparseLU(const SparseCSC<T>& a, double pivot_tol) : n_(a.size()) {
     SNIM_ASSERT(pivot_tol >= 0.0 && pivot_tol <= 1.0, "pivot_tol out of range");
     obs::ScopedTimer obs_timer("numeric/lu_factor");
     size_t pivot_swaps = 0;
@@ -124,13 +104,7 @@ SparseLU<T>::SparseLU(const SparseCSC<T>& a, double pivot_tol,
     // Apply the fill-reducing permutation symmetrically: the factorization
     // below runs on Ap = A(perm, perm), whose columns are materialized once
     // here (row-sorted, so the DFS visit order is deterministic).
-    if (last_cols != nullptr && !last_cols->empty()) {
-        std::vector<char> delayed(n_, 0);
-        for (int c : *last_cols) delayed[static_cast<size_t>(c)] = 1;
-        perm_ = min_degree_order(n_, a.col_ptr(), a.row_idx(), &delayed);
-    } else {
-        perm_ = min_degree_order(n_, a.col_ptr(), a.row_idx());
-    }
+    perm_ = min_degree_order(n_, a.col_ptr(), a.row_idx());
     iperm_.assign(n_, 0);
     for (size_t k = 0; k < n_; ++k) iperm_[static_cast<size_t>(perm_[k])] = static_cast<int>(k);
 
@@ -166,7 +140,6 @@ SparseLU<T>::SparseLU(const SparseCSC<T>& a, double pivot_tol,
     std::vector<int> stack_node(n_);    // DFS stacks
     std::vector<int> stack_ptr(n_);
     std::vector<std::pair<int, int>> order; // (pivot idx, original row) of pivoted entries
-    pivot_mag_.assign(n_, 0.0);
 
     for (size_t kk = 0; kk < n_; ++kk) {
         const int k = static_cast<int>(kk);
@@ -251,7 +224,6 @@ SparseLU<T>::SparseLU(const SparseCSC<T>& a, double pivot_tol,
         if (ipiv != k) ++pivot_swaps;
         const T pivot = x[static_cast<size_t>(ipiv)];
         const double pmag = mag(pivot);
-        pivot_mag_[kk] = pmag;
         if (kk == 0) {
             stats_.min_pivot = stats_.max_pivot = pmag;
         } else {
@@ -286,21 +258,7 @@ SparseLU<T>::SparseLU(const SparseCSC<T>& a, double pivot_tol,
     stats_.pivot_swaps = pivot_swaps;
     stats_.fill_growth =
         a.nnz() > 0 ? static_cast<double>(nnz()) / static_cast<double>(a.nnz()) : 0.0;
-    // Per-column abs sums, kept so partial refactors can refresh ||A||_1
-    // without a full pass.  Summation order per column matches norm1(), so
-    // the cached reduction stays bit-identical to it.
-    col_abs_sum_.assign(n_, 0.0);
-    {
-        double best = 0.0;
-        for (size_t j = 0; j < n_; ++j) {
-            double s = 0.0;
-            for (int p = acp[j]; p < acp[j + 1]; ++p)
-                s += mag(avx[static_cast<size_t>(p)]);
-            col_abs_sum_[j] = s;
-            best = std::max(best, s);
-        }
-        a_norm1_ = best;
-    }
+    a_norm1_ = snim::norm1(a);
 
     if (obs::enabled()) {
         obs::count("numeric/lu_pivot_swaps", pivot_swaps);
@@ -315,23 +273,23 @@ SparseLU<T>::SparseLU(const SparseCSC<T>& a, double pivot_tol,
     }
 }
 
-// Numeric recomputation of the listed permuted columns (all of them when
-// `cols` is null).  Workspace is indexed by pivot coordinates: every row of
-// A maps through iperm_ (min-degree) then pinv_ (pivoting), and the stored
-// L/U rows already live in that space.  A column's processing is
-// self-contained — it clears exactly its own symbolic pattern before
-// scattering and never reads outside it — which is what lets a partial
-// sweep skip columns while reusing the same workspace.
+// Numeric sweep on the cached pattern and pivot sequence.  Workspace is
+// indexed by pivot coordinates: every row of A maps through iperm_
+// (min-degree) then pinv_ (pivoting), and the stored L/U rows already live
+// in that space.  Each column clears exactly its own symbolic pattern
+// before scattering and never reads outside it.
 template <class T>
-bool SparseLU<T>::refactor_columns(const SparseCSC<T>& a, const int* cols, size_t ncols) {
+bool SparseLU<T>::refactor(const SparseCSC<T>& a) {
+    SNIM_ASSERT(a.size() == n_, "refactor shape %zu != %zu", a.size(), n_);
+    obs::ScopedTimer obs_timer("numeric/lu_refactor");
     const auto& cp = a.col_ptr();
     const auto& ri = a.row_idx();
     const auto& vx = a.values();
     if (work_.size() != n_) work_.assign(n_, T{});
     std::vector<T>& x = work_;
 
-    for (size_t ci = 0; ci < ncols; ++ci) {
-        const size_t kk = cols ? static_cast<size_t>(cols[ci]) : ci;
+    double minp = 0.0, maxp = 0.0;
+    for (size_t kk = 0; kk < n_; ++kk) {
         Column& ucol = u_[kk];
         Column& lcol = l_[kk];
 
@@ -339,14 +297,10 @@ bool SparseLU<T>::refactor_columns(const SparseCSC<T>& a, const int* cols, size_
         for (const auto& e : ucol) x[static_cast<size_t>(e.row)] = T{};
         for (const auto& e : lcol) x[static_cast<size_t>(e.row)] = T{};
         const auto j = static_cast<size_t>(perm_[kk]);
-        double asum = 0.0;
-        for (int p = cp[j]; p < cp[j + 1]; ++p) {
-            const T v = vx[static_cast<size_t>(p)];
-            asum += mag(v);
+        for (int p = cp[j]; p < cp[j + 1]; ++p)
             x[static_cast<size_t>(pinv_[static_cast<size_t>(
-                iperm_[static_cast<size_t>(ri[static_cast<size_t>(p)])])])] = v;
-        }
-        col_abs_sum_[j] = asum; // same per-column summation order as norm1()
+                iperm_[static_cast<size_t>(ri[static_cast<size_t>(p)])])])] =
+                vx[static_cast<size_t>(p)];
 
         // Forward solve in stored U order — ascending pivot index, exactly
         // the schedule the full constructor used, so the accumulation is
@@ -366,82 +320,18 @@ bool SparseLU<T>::refactor_columns(const SparseCSC<T>& a, const int* cols, size_
         ucol.back().value = pivot;
         for (size_t r = 1; r < lcol.size(); ++r)
             lcol[r].value = x[static_cast<size_t>(lcol[r].row)] / pivot;
-        pivot_mag_[kk] = mag(pivot);
-    }
-    return true;
-}
-
-// Rebuild the global reductions from the per-column caches.  min/max over an
-// array and max of column sums are order-independent exact reductions, so
-// this yields the same stats_ and a_norm1_ a full sweep computes regardless
-// of which columns the preceding pass actually touched.
-template <class T>
-void SparseLU<T>::finish_refactor() {
-    double minp = 0.0, maxp = 0.0;
-    for (size_t kk = 0; kk < n_; ++kk) {
-        const double pmag = pivot_mag_[kk];
-        if (kk == 0) {
-            minp = maxp = pmag;
-        } else {
-            minp = std::min(minp, pmag);
-            maxp = std::max(maxp, pmag);
-        }
+        const double pmag = mag(pivot);
+        minp = kk == 0 ? pmag : std::min(minp, pmag);
+        maxp = kk == 0 ? pmag : std::max(maxp, pmag);
     }
     // Pattern and pivot sequence are unchanged, so fill_growth and
     // pivot_swaps carry over; only the pivot magnitudes move.
     stats_.min_pivot = minp;
     stats_.max_pivot = maxp;
     stats_.rcond = 0.0;
-    double best = 0.0;
-    for (size_t j = 0; j < n_; ++j) best = std::max(best, col_abs_sum_[j]);
-    a_norm1_ = best;
+    a_norm1_ = snim::norm1(a);
     rcond_cache_ = -1.0; // new values: the cached condition estimate is stale
     if (obs::enabled()) obs::record_value("numeric/lu_min_pivot", stats_.min_pivot);
-}
-
-template <class T>
-bool SparseLU<T>::refactor(const SparseCSC<T>& a) {
-    SNIM_ASSERT(a.size() == n_, "refactor shape %zu != %zu", a.size(), n_);
-    obs::ScopedTimer obs_timer("numeric/lu_refactor");
-    if (!refactor_columns(a, nullptr, n_)) return false;
-    finish_refactor();
-    return true;
-}
-
-// Ascending sweep over permuted columns marking the elimination closure: a
-// column must be recomputed when its A column changed (seed) or when any L
-// column it consumes — the non-diagonal rows of stored U(:,kk), all with
-// pivot index < kk — was itself marked.  Because dependencies only point to
-// lower pivot indices, one ascending pass sees final marks.
-template <class T>
-void SparseLU<T>::build_closure(const std::vector<int>& changed_cols) {
-    std::vector<char> in(n_, 0);
-    for (int c : changed_cols)
-        in[static_cast<size_t>(iperm_[static_cast<size_t>(c)])] = 1;
-    closure_.clear();
-    for (size_t kk = 0; kk < n_; ++kk) {
-        if (!in[kk]) {
-            const Column& ucol = u_[kk];
-            for (size_t q = 0; q + 1 < ucol.size(); ++q)
-                if (in[static_cast<size_t>(ucol[q].row)]) {
-                    in[kk] = 1;
-                    break;
-                }
-        }
-        if (in[kk]) closure_.push_back(static_cast<int>(kk));
-    }
-    closure_key_ = changed_cols;
-    closure_valid_ = true;
-}
-
-template <class T>
-bool SparseLU<T>::refactor_partial(const SparseCSC<T>& a,
-                                   const std::vector<int>& changed_cols) {
-    SNIM_ASSERT(a.size() == n_, "refactor shape %zu != %zu", a.size(), n_);
-    obs::ScopedTimer obs_timer("numeric/lu_refactor");
-    if (!closure_valid_ || closure_key_ != changed_cols) build_closure(changed_cols);
-    if (!refactor_columns(a, closure_.data(), closure_.size())) return false;
-    finish_refactor();
     return true;
 }
 
@@ -532,46 +422,26 @@ size_t SparseLU<T>::nnz() const {
 }
 
 template <class T>
-void ReusableLU<T>::full_factor(const SparseCSC<T>& a, const std::vector<int>* last_cols) {
+void ReusableLU<T>::full_factor(const SparseCSC<T>& a) {
     lu_.reset(); // a throwing factorization must leave the cache empty, not stale
-    lu_ = std::make_unique<SparseLU<T>>(a, kPivotTol, last_cols);
+    lu_ = std::make_unique<SparseLU<T>>(a, kPivotTol);
     ref_min_pivot_ = lu_->factor_stats().min_pivot;
     pattern_cp_ = a.col_ptr();
     pattern_ri_ = a.row_idx();
 }
 
 template <class T>
-void ReusableLU<T>::factor(const SparseCSC<T>& a, const RefactorHint& hint) {
-    const auto adopt_key = [&] {
-        hint_key_[0] = hint.key[0];
-        hint_key_[1] = hint.key[1];
-    };
+void ReusableLU<T>::factor(const SparseCSC<T>& a) {
     if (!lu_ || a.col_ptr() != pattern_cp_ || a.row_idx() != pattern_ri_) {
-        full_factor(a, hint.changed_cols);
-        adopt_key();
+        full_factor(a);
         return;
     }
     // Queried first and unconditionally, so firing positions are a pure
     // function of how many reuse opportunities the run has seen.
     const bool forced = fault::fires("numeric.lu.repivot");
     if (obs::enabled()) obs::count("numeric/lu_refactor");
-    // The partial path needs the held factors to come from a matrix that is
-    // value-identical to `a` outside hint.changed_cols — exactly what a
-    // matching nonzero key attests.  Anything else (key change, zero key,
-    // no column list) pays for the full numeric refactor.
-    const bool partial_ok =
-        hint.changed_cols != nullptr &&
-        (hint.key[0] | hint.key[1]) != 0 && hint.key[0] == hint_key_[0] &&
-        hint.key[1] == hint_key_[1];
-    bool ok;
-    if (!forced && partial_ok) {
-        ok = lu_->refactor_partial(a, *hint.changed_cols);
-        if (ok && obs::enabled()) obs::count("numeric/lu_partial_refactor");
-    } else {
-        ok = !forced && lu_->refactor(a);
-    }
-    if (ok && lu_->factor_stats().min_pivot >= kRepivotTol * ref_min_pivot_) {
-        adopt_key();
+    if (!forced && lu_->refactor(a) &&
+        lu_->factor_stats().min_pivot >= kRepivotTol * ref_min_pivot_) {
         if (obs::enabled()) obs::count("numeric/lu_symbolic_reuse");
         return;
     }
@@ -579,8 +449,7 @@ void ReusableLU<T>::factor(const SparseCSC<T>& a, const RefactorHint& hint) {
     // sequence is stale — pay for one full re-pivoting factorization, which
     // also refreshes the health reference.
     if (obs::enabled()) obs::count("numeric/lu_repivot_fallbacks");
-    full_factor(a, hint.changed_cols);
-    adopt_key();
+    full_factor(a);
 }
 
 template class SparseLU<double>;

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <complex>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -48,14 +47,7 @@ struct LuFactorStats {
 template <class T>
 class SparseLU {
 public:
-    /// `last_cols` (optional) lists original columns to eliminate after all
-    /// others, whatever their degree.  Callers planning partial
-    /// refactorizations pass their changing columns here: the elimination
-    /// closure of a trailing column is just itself, so the per-iteration
-    /// refresh cost collapses.  Null keeps the pure min-degree order (and
-    /// bit-identical results to builds that predate the parameter).
-    explicit SparseLU(const SparseCSC<T>& a, double pivot_tol = 0.1,
-                      const std::vector<int>* last_cols = nullptr);
+    explicit SparseLU(const SparseCSC<T>& a, double pivot_tol = 0.1);
     explicit SparseLU(const Triplets<T>& t, double pivot_tol = 0.1)
         : SparseLU(SparseCSC<T>(t), pivot_tol) {}
 
@@ -69,19 +61,6 @@ public:
     /// Returns false on an exactly zero pivot (the factorization is then
     /// partially overwritten and must not be used for solves).
     bool refactor(const SparseCSC<T>& a);
-
-    /// Numeric refactorization restricted to the elimination closure of the
-    /// listed original columns.  `a` must be value-identical to the matrix
-    /// the current factors came from everywhere OUTSIDE `changed_cols`
-    /// (pattern identical everywhere, as for refactor()).  Every column not
-    /// recomputed would reproduce its stored values bit-exactly — its A
-    /// column and every L column it consumes are unchanged — so the result
-    /// is bit-identical to a full refactor(a), at the cost of only the
-    /// changed columns and their downstream dependents.  The closure is
-    /// cached and rebuilt when `changed_cols` differs from the previous
-    /// call.  Incremental transient assembly leans on this: between Newton
-    /// iterations only the nonlinear-device columns move.
-    bool refactor_partial(const SparseCSC<T>& a, const std::vector<int>& changed_cols);
 
     /// Solves A x = b.
     std::vector<T> solve(const std::vector<T>& b) const;
@@ -116,10 +95,6 @@ private:
     };
     using Column = std::vector<Entry>;
 
-    bool refactor_columns(const SparseCSC<T>& a, const int* cols, size_t ncols);
-    void finish_refactor();
-    void build_closure(const std::vector<int>& changed_cols);
-
     size_t n_ = 0;
     std::vector<Column> l_;  // unit-lower; first entry of column k is the diagonal (1)
     std::vector<Column> u_;  // upper; diagonal stored last in each column
@@ -129,18 +104,7 @@ private:
     mutable LuFactorStats stats_;     // mutable: rcond is filled lazily
     double a_norm1_ = 0.0;            // ||A||_1 of the factored matrix
     mutable double rcond_cache_ = -1.0; // < 0: not yet estimated
-
-    // Refactor scratch and incremental bookkeeping.  pivot_mag_ /
-    // col_abs_sum_ persist per-column |pivot| and column abs-sums so a
-    // partial refactor can rebuild global stats (min/max pivot, ||A||_1)
-    // without visiting untouched columns; the reductions run over the full
-    // arrays in ascending index order, matching what a full sweep computes.
-    mutable std::vector<T> work_;        // dense scatter column
-    std::vector<double> pivot_mag_;      // |pivot| per permuted column
-    std::vector<double> col_abs_sum_;    // abs column sum per original column
-    std::vector<int> closure_;           // permuted columns to recompute, ascending
-    std::vector<int> closure_key_;       // changed_cols the closure was built for
-    bool closure_valid_ = false;
+    std::vector<T> work_;               // refactor scatter column
 };
 
 /// Owns a SparseLU and decides, per factor() call, between the cheap numeric
@@ -164,24 +128,10 @@ public:
     /// Min-pivot degradation guard of a refactor vs. the reference.
     static constexpr double kRepivotTol = 1e-3;
 
-    /// Caller-supplied context for an incremental refactorization.  `key` is
-    /// an opaque fingerprint of everything that shapes the matrix OUTSIDE
-    /// the columns in `changed_cols` (for transient assembly: dt bits and
-    /// integration order).  When a factor() call carries the same nonzero
-    /// key as the factors it would refresh, only the elimination closure of
-    /// `changed_cols` is recomputed — bit-identical to a full refactor by
-    /// construction.  A zero key, a key change, or a
-    /// null column list falls back to the full numeric refactor.
-    struct RefactorHint {
-        uint64_t key[2] = {0, 0};
-        const std::vector<int>* changed_cols = nullptr;
-    };
-
     /// Factors `a`, reusing the cached symbolic analysis when healthy.
     /// Raises (like the SparseLU constructor) on a singular matrix; the
     /// object is then empty, never stale.
-    void factor(const SparseCSC<T>& a) { factor(a, RefactorHint{}); }
-    void factor(const SparseCSC<T>& a, const RefactorHint& hint);
+    void factor(const SparseCSC<T>& a);
 
     bool has_factor() const { return lu_ != nullptr; }
     const SparseLU<T>& lu() const {
@@ -197,12 +147,11 @@ public:
     double rcond_estimate() const { return lu().rcond_estimate(); }
 
 private:
-    void full_factor(const SparseCSC<T>& a, const std::vector<int>* last_cols);
+    void full_factor(const SparseCSC<T>& a);
 
     std::unique_ptr<SparseLU<T>> lu_;
     std::vector<int> pattern_cp_, pattern_ri_; // pattern the cache was built on
     double ref_min_pivot_ = 0.0; // min |pivot| of the last full factorization
-    uint64_t hint_key_[2] = {0, 0}; // key of the factors currently held
 };
 
 extern template class SparseLU<double>;

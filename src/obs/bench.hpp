@@ -106,6 +106,11 @@ struct Scenario {
     int repeat = 3;          // repetitions (full mode)
     int quick_repeat = 0;    // repetitions under --quick; 0 -> same as repeat
     int warmup = 1;          // discarded warmup runs (full mode; 0 under --quick)
+    /// Reference data files the body reads (file names, looked up like
+    /// core::find_reference_file).  snim_bench resolves every selected
+    /// scenario's list before the first scenario runs, so a missing file
+    /// fails at once instead of after the scenarios before it.
+    std::vector<std::string> references;
     std::function<void(ScenarioContext&)> run;
 };
 

@@ -1,8 +1,11 @@
 #include "sim/assembly.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "circuit/passives.hpp"
+#include "numeric/condest.hpp"
 #include "obs/registry.hpp"
 #include "sim/mna.hpp"
 
@@ -18,7 +21,316 @@ std::uint64_t dt_key(double dt) {
     std::memcpy(&bits, &dt, sizeof(bits));
     return bits;
 }
+
+/// Kuhn augmenting path for the bipartite row/column matching of A11:
+/// tries to match local column `c`, re-routing earlier matches.  `loc` maps
+/// a full row index to its A11-local index (-1 for rows in N).
+bool augment(int c, int stamp, const SparseCSC<double>& a,
+             const std::vector<int>& lset, const std::vector<int>& loc,
+             std::vector<int>& row_match, std::vector<int>& seen) {
+    const auto& cp = a.col_ptr();
+    const auto& ri = a.row_idx();
+    const auto j = static_cast<size_t>(lset[static_cast<size_t>(c)]);
+    for (int p = cp[j]; p < cp[j + 1]; ++p) {
+        const int r = loc[static_cast<size_t>(ri[static_cast<size_t>(p)])];
+        if (r < 0 || seen[static_cast<size_t>(r)] == stamp) continue;
+        seen[static_cast<size_t>(r)] = stamp;
+        const int prev = row_match[static_cast<size_t>(r)];
+        if (prev < 0 || augment(prev, stamp, a, lset, loc, row_match, seen)) {
+            row_match[static_cast<size_t>(r)] = c;
+            return true;
+        }
+    }
+    return false;
+}
 } // namespace
+
+// --- CondensedLU -----------------------------------------------------------
+
+void CondensedLU::partition(const SparseCSC<double>& a, std::vector<char> seed) {
+    n_ = a.size();
+    SNIM_ASSERT(seed.size() == n_, "partition seed size %zu != %zu", seed.size(), n_);
+    const auto& cp = a.col_ptr();
+    const auto& ri = a.row_idx();
+
+    // Grow N until A11 has a perfect matching: every unmatched row and
+    // column of A11 moves its unknown into N, and the matching reruns on
+    // the smaller block (each round moves at least one unknown).
+    std::vector<int> loc(n_, -1);
+    for (;;) {
+        lset_.clear();
+        for (size_t i = 0; i < n_; ++i) {
+            loc[i] = seed[i] ? -1 : static_cast<int>(lset_.size());
+            if (!seed[i]) lset_.push_back(static_cast<int>(i));
+        }
+        const size_t n1 = lset_.size();
+        std::vector<int> row_match(n1, -1), seen(n1, -1);
+        std::vector<char> col_matched(n1, 0);
+        // Diagonals first: node rows carry gmin, so nearly every column
+        // matches its own row and the augmenting search only runs for the
+        // few left (branch currents, mostly).
+        for (size_t c = 0; c < n1; ++c) {
+            const auto j = static_cast<size_t>(lset_[c]);
+            for (int p = cp[j]; p < cp[j + 1]; ++p)
+                if (static_cast<size_t>(ri[static_cast<size_t>(p)]) == j) {
+                    row_match[c] = static_cast<int>(c);
+                    col_matched[c] = 1;
+                    break;
+                }
+        }
+        for (size_t c = 0; c < n1; ++c)
+            if (!col_matched[c])
+                col_matched[c] = augment(static_cast<int>(c), static_cast<int>(c), a,
+                                         lset_, loc, row_match, seen);
+        bool perfect = true;
+        for (size_t k = 0; k < n1; ++k)
+            if (!col_matched[k] || row_match[k] < 0) {
+                seed[static_cast<size_t>(lset_[k])] = 1;
+                perfect = false;
+            }
+        if (perfect) break;
+    }
+    nset_.clear();
+    for (size_t i = 0; i < n_; ++i)
+        if (seed[i]) {
+            loc[i] = static_cast<int>(nset_.size());
+            nset_.push_back(static_cast<int>(i));
+        }
+
+    // Block entry lists in CSC order.  A11 keeps its structural zeros so a
+    // key image that happens to hold a zero still factors on the pattern.
+    const size_t n1 = lset_.size();
+    Triplets<double> t(n1);
+    t.set_keep_zeros(true);
+    a11_slot_.clear();
+    a12_.clear();
+    a21_.clear();
+    a22_.clear();
+    for (size_t j = 0; j < n_; ++j) {
+        const auto cj = static_cast<std::int32_t>(loc[j]);
+        for (int p = cp[j]; p < cp[j + 1]; ++p) {
+            const auto i = static_cast<size_t>(ri[static_cast<size_t>(p)]);
+            const auto ci = static_cast<std::int32_t>(loc[i]);
+            if (!seed[i] && !seed[j]) {
+                t.add(static_cast<size_t>(ci), static_cast<size_t>(cj), 0.0);
+                a11_slot_.push_back(p);
+            } else if (!seed[i]) {
+                a12_.push_back({ci, cj, p});
+            } else if (!seed[j]) {
+                a21_.push_back({ci, cj, p});
+            } else {
+                a22_.push_back({ci, cj, p});
+            }
+        }
+    }
+    // Columns are visited in ascending order with rows ascending inside
+    // each, so the A11 CSC holds its entries in exactly the order pushed.
+    a11_ = SparseCSC<double>(t);
+    SNIM_ASSERT(a11_.nnz() == a11_slot_.size(), "A11 pattern merged entries");
+
+    const size_t m = nset_.size();
+    s_.assign(m * m, 0.0);
+    s_piv_.assign(m, 0);
+    b1_.assign(n1, 0.0);
+    z1_.assign(n1, 0.0);
+    c_.assign(m, 0.0);
+    x2_.assign(m, 0.0);
+}
+
+CondensedLU::KeyFactors CondensedLU::factor_linear(const std::vector<double>& values) {
+    obs::count("sim/condensed_a11_factors");
+    const size_t n1 = lset_.size();
+    const size_t m = nset_.size();
+    KeyFactors f;
+    size_t stored = 0;
+    if (n1 > 0) {
+        auto& av = a11_.values_mut();
+        for (size_t q = 0; q < av.size(); ++q)
+            av[q] = values[static_cast<size_t>(a11_slot_[q])];
+        f.a11 = std::make_unique<SparseLU<double>>(a11_, ReusableLU<double>::kPivotTol);
+        f.min_pivot = f.a11->factor_stats().min_pivot;
+        stored = f.a11->nnz();
+    }
+    // W = A11^{-1} A12, one sparse solve per condensed column.
+    f.w.assign(n1 * m, 0.0);
+    if (n1 > 0) {
+        std::vector<std::vector<double>> cols(m, std::vector<double>(n1, 0.0));
+        for (const Entry& e : a12_)
+            cols[static_cast<size_t>(e.col)][static_cast<size_t>(e.row)] =
+                values[static_cast<size_t>(e.slot)];
+        std::vector<double> wcol;
+        for (size_t j = 0; j < m; ++j) {
+            f.a11->solve_into(cols[j], wcol, scratch_);
+            for (size_t l = 0; l < n1; ++l) f.w[l * m + j] = wcol[l];
+        }
+    }
+    // C = A21 W.
+    f.c.assign(m * m, 0.0);
+    f.a21.resize(a21_.size());
+    for (size_t k = 0; k < a21_.size(); ++k) {
+        const Entry& e = a21_[k];
+        const double v = values[static_cast<size_t>(e.slot)];
+        f.a21[k] = v;
+        const double* wl = f.w.data() + static_cast<size_t>(e.col) * m;
+        for (size_t j = 0; j < m; ++j) f.c[static_cast<size_t>(e.row) + m * j] += v * wl[j];
+    }
+    stored += n1 * m + m * m;
+    const size_t nnz = a11_slot_.size() + a12_.size() + a21_.size() + a22_.size();
+    f.fill_growth = nnz > 0 ? static_cast<double>(stored) / static_cast<double>(nnz) : 0.0;
+    return f;
+}
+
+void CondensedLU::begin_attempt(const KeyFactors& kf, const std::vector<double>& b) {
+    kf_ = &kf;
+    const size_t n1 = lset_.size();
+    if (n1 > 0) {
+        for (size_t l = 0; l < n1; ++l) b1_[l] = b[static_cast<size_t>(lset_[l])];
+        kf.a11->solve_into(b1_, z1_, scratch_);
+    }
+    std::fill(c_.begin(), c_.end(), 0.0);
+    for (size_t k = 0; k < a21_.size(); ++k)
+        c_[static_cast<size_t>(a21_[k].row)] +=
+            kf.a21[k] * z1_[static_cast<size_t>(a21_[k].col)];
+}
+
+void CondensedLU::factor(const SparseCSC<double>& a) {
+    obs::count("sim/condensed_s_factors");
+    a_ = &a;
+    rcond_cache_ = -1.0;
+    const size_t m = nset_.size();
+    // S = A22 - C, gathered as (-C) + A22: the same value bit for bit.
+    for (size_t k = 0; k < m * m; ++k) s_[k] = -kf_->c[k];
+    const auto& vx = a.values();
+    for (const Entry& e : a22_)
+        s_[static_cast<size_t>(e.row) + m * static_cast<size_t>(e.col)] +=
+            vx[static_cast<size_t>(e.slot)];
+
+    // Dense LU with partial pivoting, in place (column-major).
+    s_min_pivot_ = std::numeric_limits<double>::infinity();
+    for (size_t k = 0; k < m; ++k) {
+        size_t piv = m;
+        double best = 0.0;
+        for (size_t i = k; i < m; ++i) {
+            const double v = std::fabs(s_[i + m * k]);
+            if (v > best) { // NaN never wins: a poisoned column reads singular
+                best = v;
+                piv = i;
+            }
+        }
+        if (piv == m)
+            raise("condensed solve: Schur complement singular at unknown %d",
+                  nset_[k]);
+        s_piv_[k] = static_cast<int>(piv);
+        if (piv != k)
+            for (size_t j = 0; j < m; ++j) std::swap(s_[k + m * j], s_[piv + m * j]);
+        s_min_pivot_ = std::min(s_min_pivot_, best);
+        const double d = s_[k + m * k];
+        for (size_t i = k + 1; i < m; ++i) s_[i + m * k] /= d;
+        for (size_t j = k + 1; j < m; ++j) {
+            const double u = s_[k + m * j];
+            if (u == 0.0) continue;
+            for (size_t i = k + 1; i < m; ++i) s_[i + m * j] -= s_[i + m * k] * u;
+        }
+    }
+}
+
+// r <- S^{-1} r in place on the LU held in s_ (P S = L U, P the row swaps
+// s_piv_ applied in order).
+void CondensedLU::dense_solve(std::vector<double>& r) const {
+    const size_t m = nset_.size();
+    for (size_t k = 0; k < m; ++k) std::swap(r[k], r[static_cast<size_t>(s_piv_[k])]);
+    for (size_t k = 0; k < m; ++k)
+        for (size_t i = k + 1; i < m; ++i) r[i] -= s_[i + m * k] * r[k];
+    for (size_t k = m; k-- > 0;) {
+        r[k] /= s_[k + m * k];
+        for (size_t i = 0; i < k; ++i) r[i] -= s_[i + m * k] * r[k];
+    }
+}
+
+// r <- S^{-T} r in place: S^T = U^T L^T P, so solve U^T, then L^T, then
+// undo the row swaps in reverse order.
+void CondensedLU::dense_solve_transpose(std::vector<double>& r) const {
+    const size_t m = nset_.size();
+    for (size_t k = 0; k < m; ++k) {
+        double acc = r[k];
+        for (size_t i = 0; i < k; ++i) acc -= s_[i + m * k] * r[i];
+        r[k] = acc / s_[k + m * k];
+    }
+    for (size_t k = m; k-- > 0;) {
+        double acc = r[k];
+        for (size_t i = k + 1; i < m; ++i) acc -= s_[i + m * k] * r[i];
+        r[k] = acc;
+    }
+    for (size_t k = m; k-- > 0;) std::swap(r[k], r[static_cast<size_t>(s_piv_[k])]);
+}
+
+void CondensedLU::solve_newton(const std::vector<double>& b, std::vector<double>& x) {
+    const size_t n1 = lset_.size();
+    const size_t m = nset_.size();
+    for (size_t i = 0; i < m; ++i) x2_[i] = b[static_cast<size_t>(nset_[i])] - c_[i];
+    dense_solve(x2_);
+    x.resize(n_);
+    for (size_t i = 0; i < m; ++i) x[static_cast<size_t>(nset_[i])] = x2_[i];
+    const double* w = kf_->w.data();
+    for (size_t l = 0; l < n1; ++l, w += m) {
+        double v = z1_[l];
+        for (size_t j = 0; j < m; ++j) v -= w[j] * x2_[j];
+        x[static_cast<size_t>(lset_[l])] = v;
+    }
+}
+
+std::vector<double> CondensedLU::solve(const std::vector<double>& b) const {
+    const size_t n1 = lset_.size();
+    const size_t m = nset_.size();
+    std::vector<double> b1(n1), z1(n1), x2(m), scratch;
+    for (size_t l = 0; l < n1; ++l) b1[l] = b[static_cast<size_t>(lset_[l])];
+    if (n1 > 0) kf_->a11->solve_into(b1, z1, scratch);
+    for (size_t i = 0; i < m; ++i) x2[i] = b[static_cast<size_t>(nset_[i])];
+    for (size_t k = 0; k < a21_.size(); ++k)
+        x2[static_cast<size_t>(a21_[k].row)] -=
+            kf_->a21[k] * z1[static_cast<size_t>(a21_[k].col)];
+    dense_solve(x2);
+    std::vector<double> x(n_);
+    for (size_t i = 0; i < m; ++i) x[static_cast<size_t>(nset_[i])] = x2[i];
+    for (size_t l = 0; l < n1; ++l) {
+        double v = z1[l];
+        for (size_t j = 0; j < m; ++j) v -= kf_->w[l * m + j] * x2[j];
+        x[static_cast<size_t>(lset_[l])] = v;
+    }
+    return x;
+}
+
+// A^T y = b by the transposed block elimination: S^T y2 = b2 - W^T b1,
+// then A11^T y1 = b1 - A21^T y2.
+std::vector<double> CondensedLU::solve_transpose(const std::vector<double>& b) const {
+    const size_t n1 = lset_.size();
+    const size_t m = nset_.size();
+    std::vector<double> t1(n1), y2(m);
+    for (size_t l = 0; l < n1; ++l) t1[l] = b[static_cast<size_t>(lset_[l])];
+    for (size_t j = 0; j < m; ++j) {
+        double v = b[static_cast<size_t>(nset_[j])];
+        for (size_t l = 0; l < n1; ++l) v -= kf_->w[l * m + j] * t1[l];
+        y2[j] = v;
+    }
+    dense_solve_transpose(y2);
+    for (size_t k = 0; k < a21_.size(); ++k)
+        t1[static_cast<size_t>(a21_[k].col)] -=
+            kf_->a21[k] * y2[static_cast<size_t>(a21_[k].row)];
+    std::vector<double> y(n_);
+    if (n1 > 0) {
+        const std::vector<double> y1 = kf_->a11->solve_transpose(t1);
+        for (size_t l = 0; l < n1; ++l) y[static_cast<size_t>(lset_[l])] = y1[l];
+    }
+    for (size_t i = 0; i < m; ++i) y[static_cast<size_t>(nset_[i])] = y2[i];
+    return y;
+}
+
+double CondensedLU::rcond_estimate() const {
+    if (rcond_cache_ < 0.0) rcond_cache_ = rcond_from_norm1<double>(*this, n_, norm1(*a_));
+    return rcond_cache_;
+}
+
+// --- TranAssembler ---------------------------------------------------------
 
 TranAssembler::TranAssembler(const circuit::Netlist& netlist,
                              circuit::RealStamper& s, double gmin)
@@ -114,28 +426,25 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
             mixed_slots_.push_back({static_cast<std::int32_t>(slot), calls});
     }
 
-    // Seed set for partial refactorization: every CSC column holding at
-    // least one nonlinear stamp call.  Mixed slots are covered too — a slot
-    // is only "mixed" because a nonlinear call lands in it.  The slot list
-    // itself doubles as the sparse-restore dirty set.
+    // The nonlinear dirty sets: CSC slots the overlay writes (mixed slots
+    // included — a slot is only "mixed" because a nonlinear call lands in
+    // it) and RHS nodes it writes.  Their rows, columns and nodes seed the
+    // condensed set of the block-elimination solve.
+    std::vector<char> seed(s_.size(), 0);
     {
-        const auto& cp = s_.csc().col_ptr();
-        std::vector<char> colhit(s_.size(), 0);
+        const auto& a = s_.csc();
+        const auto& cp = a.col_ptr();
+        const auto& ri = a.row_idx();
         std::vector<char> slothit(nnz, 0);
-        std::vector<std::int32_t> col_of(nnz);
+        for (size_t k = 0; k < ncalls; ++k)
+            if (nl_call[k]) slothit[static_cast<size_t>(slots[k])] = 1;
         for (size_t j = 0; j < s_.size(); ++j)
             for (int p = cp[j]; p < cp[j + 1]; ++p)
-                col_of[static_cast<size_t>(p)] = static_cast<std::int32_t>(j);
-        for (size_t k = 0; k < ncalls; ++k)
-            if (nl_call[k]) {
-                const auto slot = static_cast<size_t>(slots[k]);
-                slothit[slot] = 1;
-                colhit[static_cast<size_t>(col_of[slot])] = 1;
-            }
-        for (size_t j = 0; j < s_.size(); ++j)
-            if (colhit[j]) nonlinear_cols_.push_back(static_cast<int>(j));
-        for (size_t p = 0; p < nnz; ++p)
-            if (slothit[p]) nl_slots_.push_back(static_cast<std::int32_t>(p));
+                if (slothit[static_cast<size_t>(p)]) {
+                    nl_slots_.push_back(p);
+                    seed[j] = 1;
+                    seed[static_cast<size_t>(ri[static_cast<size_t>(p)])] = 1;
+                }
     }
     {
         std::vector<char> nodehit(s_.size(), 0);
@@ -143,8 +452,12 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
         for (size_t k = 0; k < nrhs; ++k)
             if (nl_rhs[k]) nodehit[static_cast<size_t>(rn[k])] = 1;
         for (size_t i = 0; i < s_.size(); ++i)
-            if (nodehit[i]) nl_rhs_nodes_.push_back(static_cast<std::int32_t>(i));
+            if (nodehit[i]) {
+                nl_rhs_nodes_.push_back(static_cast<std::int32_t>(i));
+                seed[i] = 1;
+            }
     }
+    cond_.partition(s_.csc(), std::move(seed));
 
     std::vector<std::vector<std::int32_t>> by_node(s_.size());
     const auto& rnodes = s_.rhs_tape_nodes();
@@ -170,7 +483,7 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
     // surprise leaves the device on the slow overlay path.
     const double kord = (tp.order == 2 ? 2.0 : 1.0);
     for (const std::uint32_t i : refresh_) {
-        const auto* cap = dynamic_cast<const circuit::Capacitor*>(devices[i].get());
+        auto* cap = dynamic_cast<circuit::Capacitor*>(devices[i].get());
         if (cap == nullptr) {
             slow_refresh_.push_back(i);
             continue;
@@ -184,6 +497,9 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
                                : (-geq * cap->tran_v_prev());
         CapPlan plan;
         plan.cap = cap;
+        plan.a = a;
+        plan.b = b;
+        plan.geq = geq;
         bool ok = true;
         if (a >= 0 && b >= 0) {
             ok = sp.mat_end - sp.mat_begin == 4;
@@ -219,6 +535,16 @@ void TranAssembler::compile(const circuit::TranParams& tp) {
         else
             slow_refresh_.push_back(i);
     }
+    // Planned capacitors commit through their plan from here on.
+    std::vector<circuit::Device*> planned;
+    for (const CapPlan& p : cap_plans_) planned.push_back(p.cap);
+    std::sort(planned.begin(), planned.end());
+    commit_list_.erase(std::remove_if(commit_list_.begin(), commit_list_.end(),
+                                      [&](circuit::Device* d) {
+                                          return std::binary_search(planned.begin(),
+                                                                    planned.end(), d);
+                                      }),
+                       commit_list_.end());
 }
 
 void TranAssembler::refresh_tapes(const std::vector<double>& x,
@@ -232,8 +558,9 @@ void TranAssembler::refresh_tapes(const std::vector<double>& x,
         auto& tv = s_.tape_values_mut();
         auto& rv = s_.rhs_tape_values_mut();
         const double kord = (tp.order == 2 ? 2.0 : 1.0);
-        for (const CapPlan& p : cap_plans_) {
+        for (CapPlan& p : cap_plans_) {
             const double geq = kord * p.cap->capacitance() / tp.dt;
+            p.geq = geq;
             const double ieq =
                 (tp.order == 2)
                     ? (-geq * p.cap->tran_v_prev() - p.cap->tran_i_prev())
@@ -254,12 +581,12 @@ void TranAssembler::refresh_tapes(const std::vector<double>& x,
     s_.end_overlay();
 }
 
-const std::vector<double>& TranAssembler::key_image(const circuit::TranParams& tp) {
+TranAssembler::KeyImage& TranAssembler::key_image(const circuit::TranParams& tp) {
     const std::uint64_t bits = dt_key(tp.dt);
-    for (const auto& e : cache_)
+    for (auto& e : cache_)
         if (e.dt_bits == bits && e.order == tp.order) {
             obs::count("sim/assemble_cache_hits");
-            return e.values;
+            return e;
         }
     obs::count("sim/assemble_cache_misses");
     if (cache_.size() >= 96) cache_.clear(); // ladder keys never get near this
@@ -278,10 +605,11 @@ const std::vector<double>& TranAssembler::key_image(const circuit::TranParams& t
             img.values[slot] += vals[static_cast<size_t>(k)];
     }
     cache_.push_back(std::move(img));
-    return cache_.back().values;
+    return cache_.back();
 }
 
 void TranAssembler::build_rhs_base() {
+    attempt_solved_ = false;
     rhs_base_.assign(s_.size(), 0.0);
     const auto& nodes = s_.rhs_tape_nodes();
     const auto& vals = s_.rhs_tape_values();
@@ -309,14 +637,14 @@ void TranAssembler::assemble(const std::vector<double>& x,
         return;
     }
     if (restore_full_) {
-        s_.csc_values_mut() = *image_;
+        s_.csc_values_mut() = image_->values;
         s_.rhs_mut() = rhs_base_;
         restore_full_ = false;
     } else {
         // Everything outside the nonlinear dirty set still holds its
         // baseline value from the previous iteration's restore.
         auto& vals = s_.csc_values_mut();
-        const auto& img = *image_;
+        const auto& img = image_->values;
         for (const std::int32_t p : nl_slots_)
             vals[static_cast<size_t>(p)] = img[static_cast<size_t>(p)];
         auto& b = s_.rhs_mut();
@@ -354,6 +682,26 @@ void TranAssembler::assemble(const std::vector<double>& x,
         b[static_cast<size_t>(m.target)] = v;
     }
     obs::count("sim/assemble_incremental");
+}
+
+void TranAssembler::commit(const std::vector<double>& x, const circuit::TranParams& tp) {
+    for (circuit::Device* d : commit_list_) d->commit_tran(x, tp);
+    for (const CapPlan& p : cap_plans_)
+        p.cap->commit_companion(circuit::volt(x, p.a) - circuit::volt(x, p.b), p.geq,
+                                tp.order);
+}
+
+void TranAssembler::solve(std::vector<double>& x) {
+    SNIM_ASSERT(image_ != nullptr, "TranAssembler::solve before the first assemble");
+    if (!attempt_solved_) {
+        if (!image_->factors)
+            image_->factors = std::make_unique<CondensedLU::KeyFactors>(
+                cond_.factor_linear(image_->values));
+        cond_.begin_attempt(*image_->factors, rhs_base_);
+        attempt_solved_ = true;
+    }
+    cond_.factor(s_.csc());
+    cond_.solve_newton(s_.rhs(), x);
 }
 
 } // namespace snim::sim

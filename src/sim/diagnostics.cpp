@@ -123,6 +123,7 @@ void digest_options(obs::ConfigDigest& d, const TranOptions& opt) {
     d.add("tran.lte_reltol", opt.lte_reltol);
     d.add("tran.lte_abstol", opt.lte_abstol);
     d.add("tran.retry_history", opt.retry_history);
+    d.add("tran.engine_revision", kTranEngineRevision);
     digest_certify_options(d, "tran", opt.certify);
     // Checkpoint knobs (dir/tag/cadence/resume) are deliberately excluded:
     // they are operational, like thread counts, and a resumed run must

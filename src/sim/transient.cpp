@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <thread>
 
 #include "numeric/certify.hpp"
-#include "numeric/sparse_lu.hpp"
 #include "sim/assembly.hpp"
 #include "numeric/vecops.hpp"
 #include "obs/events.hpp"
@@ -287,7 +285,6 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
     std::vector<double> xit = x;         // Newton iterate of the attempt
     std::vector<double> last_dx(n, 0.0); // per-unknown update of the last iteration
     std::vector<double> xn;              // tentative Newton iterate
-    std::vector<double> lu_tmp;          // solve_into scratch
     StepTelemetryRing ring(static_cast<size_t>(opt.diag_tail));
     RetryLog retries(static_cast<size_t>(opt.retry_history));
     long recorded = 0;
@@ -305,13 +302,12 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
         out.step_retries = static_cast<long>(res->step_retries);
     }
 
-    // One symbolic analysis + pivot sequence computed on the first
-    // iteration, then numeric-only refactors fed by the stamper's compiled
-    // in-place CSC scatter.  The assembler pre-assembles the linear stamps
-    // once, caches companion images per (dt, order) and re-stamps only the
-    // nonlinear devices per Newton iteration.
+    // The assembler pre-assembles the linear stamps once, caches companion
+    // images per (dt, order) and re-stamps only the nonlinear devices per
+    // Newton iteration; its condensed solve eliminates the linear network
+    // once per key and per attempt, leaving a small dense factorization of
+    // the nonlinear block per iteration (DESIGN.md §14).
     s.enable_compiled_assembly();
-    ReusableLU<double> rlu;
     TranAssembler assembler(netlist, s, opt.gmin);
 
     const double lte_reltol = opt.lte_reltol > 0.0 ? opt.lte_reltol : opt.reltol;
@@ -461,24 +457,13 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
                     obs::ScopedTimer obs_asm("sim/transient/newton/assemble");
                     assembler.assemble(xit, tp);
                 }
-                // Incremental assembly guarantees the matrix outside the
-                // nonlinear columns is the cached linear image of this
-                // (dt, order), so factors taken under the same key can be
-                // refreshed by a partial refactorization of just those
-                // columns' elimination closure.  order >= 1 keeps the key
-                // nonzero, which is what arms the partial path.
-                ReusableLU<double>::RefactorHint hint;
-                std::memcpy(&hint.key[0], &tp.dt, sizeof(hint.key[0]));
-                hint.key[1] = static_cast<std::uint64_t>(tp.order);
-                hint.changed_cols = &assembler.nonlinear_cols();
                 try {
                     obs::ScopedTimer obs_solve("sim/transient/newton/solve");
                     if (fault::fires("tran.lu.singular"))
                         raise("fault injected: tran.lu.singular");
-                    rlu.factor(s.csc(), hint);
-                    rlu.lu().solve_into(s.rhs(), xn, lu_tmp);
-                    tel.lu_min_pivot = rlu.factor_stats().min_pivot;
-                    tel.lu_fill_growth = rlu.factor_stats().fill_growth;
+                    assembler.solve(xn);
+                    tel.lu_min_pivot = assembler.solver().min_pivot();
+                    tel.lu_fill_growth = assembler.solver().fill_growth();
                 } catch (const Error&) {
                     reject = Reject::singular;
                     break;
@@ -539,7 +524,7 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
                 be_steps_done % opt.certify.stride == 0) {
                 obs::ScopedTimer obs_cert("sim/transient/certify");
                 const obs::SolveCertificate cert =
-                    certify_solve(rlu.lu(), s.csc(), xit, s.rhs(), opt.certify);
+                    certify_solve(assembler.solver(), s.csc(), xit, s.rhs(), opt.certify);
                 tel.cert_omega = cert.omega;
                 tel.cert_rcond = cert.rcond;
                 obs::record_certificate("transient", cert, opt.certify);

@@ -33,6 +33,13 @@ constexpr int kBeStartupSteps = 4;
 /// histogram, budgeted as stage "sim/kcl".
 constexpr double kKclMax = 1e-6;
 
+/// Revision of the engine's arithmetic, part of digest_options(TranOptions):
+/// a checkpoint written by an engine that rounds differently refuses to
+/// resume instead of finishing with different arithmetic.  2 = condensed
+/// block-elimination solve (the partial-refactor engine digested no
+/// revision).
+constexpr int kTranEngineRevision = 2;
+
 struct TranOptions {
     double tstop = 0.0;
     double dt = 0.0;

@@ -5,10 +5,11 @@
 //     reproduce `clear + assemble_tran` exactly — across iterations, step
 //     attempts, (dt, order) cache keys, commits and MOSFET orientation
 //     flips, all on the one tape learned by the first pass;
-//   * SparseLU::refactor_partial must reproduce a full numeric refactor
-//     exactly (unchanged columns would recompute to their stored values, so
-//     skipping them cannot change anything downstream);
-//   * the production engine (incremental assembly, partial refactors,
+//   * the condensed block-elimination solve (CondensedLU) must match a
+//     fresh SparseLU of the same assembled system to round-off (1e-12
+//     relative), bitwise when the condensed set is empty, including the
+//     netlists that force the condensed set to grow;
+//   * the production engine (incremental assembly, condensed solve,
 //     predictor) must land on the same waveform as the full-re-stamp,
 //     fresh-factorization reference in tran_reference.hpp, to within the
 //     Newton tolerance.
@@ -16,6 +17,7 @@
 // global registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -184,93 +186,196 @@ TEST_F(AssemblyTest, OrientationFlipStaysIncrementalAndBitIdentical) {
 }
 #endif
 
-// --- partial refactorization ----------------------------------------------
+// --- condensed solve ------------------------------------------------------
 
-Triplets<double> random_system(size_t n, int extra_per_row, Rng& rng) {
-    Triplets<double> t(n);
-    for (size_t i = 0; i < n; ++i) t.add(i, i, 5.0 + rng.uniform(0, 1));
-    for (size_t i = 0; i < n; ++i)
-        for (int k = 0; k < extra_per_row; ++k)
-            t.add(i, static_cast<size_t>(rng.uniform_int(0, static_cast<int>(n) - 1)),
-                  rng.uniform(-1, 1));
-    return t;
+/// max |x - ref| / max(|ref|_inf, 1e-300): the relative distance the
+/// condensed solve must keep from a fresh SparseLU.
+double rel_diff(const std::vector<double>& x, const std::vector<double>& ref) {
+    double d = 0.0, r = 0.0;
+    for (size_t i = 0; i < ref.size(); ++i) {
+        d = std::max(d, std::fabs(x[i] - ref[i]));
+        r = std::max(r, std::fabs(ref[i]));
+    }
+    return d / std::max(r, 1e-300);
 }
 
-TEST_F(AssemblyTest, PartialRefactorMatchesFullRefactorBitwise) {
-    Rng rng(42);
-    for (int trial = 0; trial < 5; ++trial) {
-        const size_t n = 30 + 10 * static_cast<size_t>(trial);
-        auto t = random_system(n, 3, rng);
-        SparseCSC<double> a1(t);
+/// Drives a TranAssembler through two (dt, order) keys and several Newton
+/// iterates, and checks every condensed solve — the Newton solve and the
+/// full solve / solve_transpose certify_solve uses — against a fresh
+/// SparseLU of the assembled system.  Returns the condensed set.
+std::vector<int> check_condensed_against_fresh_lu(circuit::Netlist& nl, const char* name) {
+    nl.finalize();
+    const size_t n = nl.unknown_count();
+    Rng rng(11);
+    std::vector<double> x(n, 0.0);
+    for (auto& v : x) v = rng.uniform(0.0, 1.2);
+    for (const auto& d : nl.devices()) d->init_tran(x);
 
-        // Perturb a handful of columns in place: the partial contract is
-        // "identical outside changed_cols", which editing CSC values of a
-        // copy guarantees structurally.
-        std::vector<int> changed = {1, static_cast<int>(n) / 2,
-                                    static_cast<int>(n) - 2};
-        SparseCSC<double> a2 = a1;
-        for (int c : changed) {
-            const auto cp = a2.col_ptr();
-            for (int p = cp[c]; p < cp[c + 1]; ++p)
-                a2.values_mut()[static_cast<size_t>(p)] *= 1.0 + 0.1 * (c + 1);
+    circuit::RealStamper s(n);
+    s.enable_compiled_assembly();
+    sim::TranAssembler asmb(nl, s, 1e-12);
+    circuit::TranParams tp;
+    std::vector<double> xc;
+    const double dts[] = {20e-12, 10e-12, 20e-12};
+    for (int a = 0; a < 3; ++a) {
+        tp.dt = dts[a];
+        tp.order = a == 0 ? 1 : 2;
+        tp.time = (a + 1) * 20e-12;
+        asmb.begin_attempt(x, tp);
+        for (int it = 0; it < 3; ++it) {
+            for (auto& v : x) v += 0.05 * rng.uniform(-1, 1);
+            asmb.assemble(x, tp);
+            asmb.solve(xc);
+            const SparseLU<double> fresh(s.csc());
+            const auto xf = fresh.solve(s.rhs());
+            EXPECT_LE(rel_diff(xc, xf), 1e-12)
+                << name << ": Newton solve, attempt " << a << " it " << it;
+
+            std::vector<double> b(n);
+            for (auto& v : b) v = rng.uniform(-1, 1);
+            EXPECT_LE(rel_diff(asmb.solver().solve(b), fresh.solve(b)), 1e-12)
+                << name << ": solve, attempt " << a << " it " << it;
+            EXPECT_LE(rel_diff(asmb.solver().solve_transpose(b), fresh.solve_transpose(b)),
+                      1e-12)
+                << name << ": solve_transpose, attempt " << a << " it " << it;
         }
+        asmb.commit(xc, tp);
+    }
+    const double rc = asmb.solver().rcond_estimate();
+    EXPECT_GT(rc, 0.0) << name;
+    EXPECT_LE(rc, 1.0) << name;
+    return asmb.solver().condensed();
+}
 
-        SparseLU<double> partial(a1);
-        SparseLU<double> full(a1);
-        ASSERT_TRUE(partial.refactor_partial(a2, changed));
-        ASSERT_TRUE(full.refactor(a2));
+bool contains(const std::vector<int>& v, int x) {
+    return std::find(v.begin(), v.end(), x) != v.end();
+}
 
-        std::vector<double> b(n);
-        for (auto& v : b) v = rng.uniform(-1, 1);
-        const auto xp = partial.solve(b);
-        const auto xf = full.solve(b);
-        EXPECT_EQ(std::memcmp(xp.data(), xf.data(), n * sizeof(double)), 0)
-            << "trial " << trial;
-        EXPECT_EQ(partial.factor_stats().min_pivot, full.factor_stats().min_pivot);
-        EXPECT_EQ(partial.factor_stats().max_pivot, full.factor_stats().max_pivot);
+TEST_F(AssemblyTest, CondensedSolveMatchesFreshSparseLu) {
+    const tech::MosModelCard nch = tech::generic180().mos_model("nch");
+    const auto drive = [](circuit::Netlist& nl) {
+        nl.add<circuit::VSource>("vdd", nl.node("vdd"), circuit::kGround,
+                                 circuit::Waveform::dc(1.8));
+        nl.add<circuit::VSource>("vin", nl.node("g"), circuit::kGround,
+                                 circuit::Waveform::sin(0.9, 0.3, 2e8));
+        nl.add<circuit::Resistor>("rd", nl.node("vdd"), nl.node("d"), 2e3);
+        nl.add<circuit::Capacitor>("cd", nl.node("d"), circuit::kGround, 1e-13);
+    };
+
+    {
+        // A voltage source between two MOSFET nodes: its branch current has
+        // no entry outside the nonlinear rows and columns, so A11 is
+        // structurally singular until the condensed set takes it in.
+        circuit::Netlist nl;
+        drive(nl);
+        nl.add<circuit::Mosfet>("m0", nl.node("d"), nl.node("g"), nl.node("s"),
+                                circuit::kGround, nch, circuit::MosGeometry{});
+        auto& vds = nl.add<circuit::VSource>("vds", nl.node("d2"), nl.node("s"),
+                                             circuit::Waveform::dc(0.3));
+        nl.add<circuit::Mosfet>("m1", nl.node("d2"), nl.node("g"), circuit::kGround,
+                                circuit::kGround, nch, circuit::MosGeometry{});
+        nl.add<circuit::Resistor>("rs", nl.node("s"), circuit::kGround, 500.0);
+        const auto cond = check_condensed_against_fresh_lu(nl, "vsource between MOSFETs");
+        EXPECT_TRUE(contains(cond, vds.aux_base())) << "branch current not condensed";
+    }
+    {
+        // An inductor branch on a MOSFET drain.
+        circuit::Netlist nl;
+        drive(nl);
+        nl.add<circuit::Inductor>("ld", nl.node("d"), nl.node("tank"), 2e-9, 1.0);
+        nl.add<circuit::Capacitor>("ct", nl.node("tank"), circuit::kGround, 5e-13);
+        nl.add<circuit::Resistor>("rt", nl.node("tank"), circuit::kGround, 1e3);
+        nl.add<circuit::Mosfet>("m0", nl.node("d"), nl.node("g"), circuit::kGround,
+                                circuit::kGround, nch, circuit::MosGeometry{});
+        check_condensed_against_fresh_lu(nl, "inductor on MOSFET drain");
+    }
+    {
+        // A 1e-4 ohm short on a MOSFET source, as the ideal-interconnect
+        // ablations stamp it.
+        circuit::Netlist nl;
+        drive(nl);
+        nl.add<circuit::Mosfet>("m0", nl.node("d"), nl.node("g"), nl.node("s"),
+                                circuit::kGround, nch, circuit::MosGeometry{});
+        nl.add<circuit::Resistor>("rshort", nl.node("s"), nl.node("sgnd"), 1e-4);
+        nl.add<circuit::Resistor>("rsub", nl.node("sgnd"), circuit::kGround, 50.0);
+        nl.add<circuit::Capacitor>("csub", nl.node("sgnd"), circuit::kGround, 1e-13);
+        check_condensed_against_fresh_lu(nl, "shorted MOSFET source");
+    }
+    {
+        // A purely linear ladder: nothing to condense.
+        circuit::Netlist nl;
+        nl.add<circuit::VSource>("vin", nl.node("n0"), circuit::kGround,
+                                 circuit::Waveform::sin(0.0, 1.0, 1e9));
+        for (int i = 0; i < 20; ++i) {
+            nl.add<circuit::Resistor>(format("r%d", i), nl.node(format("n%d", i)),
+                                      nl.node(format("n%d", i + 1)), 50.0);
+            nl.add<circuit::Capacitor>(format("c%d", i), nl.node(format("n%d", i + 1)),
+                                       circuit::kGround, 1e-13);
+        }
+        EXPECT_TRUE(check_condensed_against_fresh_lu(nl, "linear ladder").empty());
+    }
+    {
+        // About half the unknowns nonlinear: every fourth ladder section
+        // carries a MOSFET from its input (gate) to its output (drain).
+        circuit::Netlist nl;
+        nl.add<circuit::VSource>("vin", nl.node("n0"), circuit::kGround,
+                                 circuit::Waveform::sin(0.9, 0.3, 2e8));
+        const int stages = 16;
+        for (int i = 0; i < stages; ++i) {
+            nl.add<circuit::Resistor>(format("r%d", i), nl.node(format("n%d", i)),
+                                      nl.node(format("n%d", i + 1)), 100.0);
+            nl.add<circuit::Capacitor>(format("c%d", i), nl.node(format("n%d", i + 1)),
+                                       circuit::kGround, 1e-13);
+            if (i % 4 == 1)
+                nl.add<circuit::Mosfet>(format("m%d", i), nl.node(format("n%d", i + 1)),
+                                        nl.node(format("n%d", i)), circuit::kGround,
+                                        circuit::kGround, nch, circuit::MosGeometry{});
+        }
+        const auto cond = check_condensed_against_fresh_lu(nl, "half nonlinear");
+        const size_t n = nl.unknown_count();
+        EXPECT_GE(cond.size(), n / 3);
+        EXPECT_LE(cond.size(), 2 * n / 3);
     }
 }
 
-TEST_F(AssemblyTest, EmptyChangedSetPartialRefactorKeepsFactors) {
-    Rng rng(3);
-    auto t = random_system(40, 3, rng);
-    SparseCSC<double> a(t);
-    SparseLU<double> lu(a);
-    std::vector<double> b(40, 1.0);
-    const auto x0 = lu.solve(b);
-    ASSERT_TRUE(lu.refactor_partial(a, {}));
-    const auto x1 = lu.solve(b);
-    EXPECT_EQ(std::memcmp(x0.data(), x1.data(), b.size() * sizeof(double)), 0);
+TEST_F(AssemblyTest, EmptyCondensedSetSolvesBitwiseLikeSparseLu) {
+    // With no nonlinear device A11 is the whole matrix, so the condensed
+    // solve is exactly a SparseLU solve: same pattern, same ordering, same
+    // pivots, bit for bit.
+    circuit::Netlist nl;
+    nl.add<circuit::VSource>("vin", nl.node("n0"), circuit::kGround,
+                             circuit::Waveform::sin(0.0, 1.0, 1e9));
+    for (int i = 0; i < 30; ++i) {
+        nl.add<circuit::Resistor>(format("r%d", i), nl.node(format("n%d", i)),
+                                  nl.node(format("n%d", i + 1)), 20.0 + i);
+        nl.add<circuit::Capacitor>(format("c%d", i), nl.node(format("n%d", i + 1)),
+                                   circuit::kGround, 1e-13);
+    }
+    nl.finalize();
+    const size_t n = nl.unknown_count();
+    std::vector<double> x(n, 0.1);
+    for (const auto& d : nl.devices()) d->init_tran(x);
+    circuit::RealStamper s(n);
+    s.enable_compiled_assembly();
+    sim::TranAssembler asmb(nl, s, 1e-12);
+    circuit::TranParams tp;
+    tp.dt = 10e-12;
+    tp.order = 2;
+    std::vector<double> xc;
+    for (int a = 0; a < 3; ++a) {
+        tp.time = (a + 1) * tp.dt;
+        asmb.begin_attempt(x, tp);
+        asmb.assemble(x, tp);
+        asmb.solve(xc);
+        EXPECT_TRUE(asmb.solver().condensed().empty());
+        const auto xf = SparseLU<double>(s.csc()).solve(s.rhs());
+        ASSERT_EQ(xc.size(), xf.size());
+        EXPECT_EQ(std::memcmp(xc.data(), xf.data(), n * sizeof(double)), 0)
+            << "attempt " << a;
+        asmb.commit(xc, tp);
+        x = xc;
+    }
 }
-
-#if SNIM_OBS_ENABLED
-TEST_F(AssemblyTest, ReusableLuTakesPartialPathOnlyUnderMatchingKey) {
-    obs::set_enabled(true);
-    Rng rng(9);
-    auto t = random_system(32, 3, rng);
-    SparseCSC<double> a(t);
-    std::vector<int> changed = {4, 20};
-
-    ReusableLU<double> rlu;
-    ReusableLU<double>::RefactorHint hint;
-    hint.key[0] = 0x1111;
-    hint.changed_cols = &changed;
-    rlu.factor(a, hint); // first factor under this key: full, adopts the key
-    EXPECT_EQ(obs::counter_value("numeric/lu_partial_refactor"), 0u);
-
-    rlu.factor(a, hint); // same key: partial closure refresh
-    EXPECT_EQ(obs::counter_value("numeric/lu_partial_refactor"), 1u);
-
-    hint.key[0] = 0x2222; // key change: factors of a different system
-    rlu.factor(a, hint);
-    EXPECT_EQ(obs::counter_value("numeric/lu_partial_refactor"), 1u);
-
-    ReusableLU<double>::RefactorHint no_key; // zero key never arms partial
-    rlu.factor(a, no_key);
-    rlu.factor(a, no_key);
-    EXPECT_EQ(obs::counter_value("numeric/lu_partial_refactor"), 1u);
-}
-#endif
 
 // --- transient engine integration -----------------------------------------
 
@@ -299,12 +404,11 @@ circuit::Netlist ladder_with_mosfet(int stages) {
 }
 
 TEST_F(AssemblyTest, IncrementalEngineMatchesFullRestampWithinTolerance) {
-    // The reference re-stamps and freshly factors every Newton iteration in
-    // the natural min-degree order, while the engine orders the nonlinear
-    // columns last and starts Newton from the linear predictor, so the two
-    // are deliberately NOT bitwise comparable — but both converge every
-    // step to the same Newton tolerance, so the waveforms must agree well
-    // inside it.
+    // The reference re-stamps and freshly factors every Newton iteration,
+    // while the engine solves by block elimination and starts Newton from
+    // the linear predictor, so the two are deliberately NOT bitwise
+    // comparable — but both converge every step to the same Newton
+    // tolerance, so the waveforms must agree well inside it.
     sim::TranOptions opt;
     opt.dt = 20e-12;
     opt.tstop = 4e-9;
@@ -360,15 +464,44 @@ TEST_F(AssemblyTest, DefaultRunDoesExactlyOneFullAssembly) {
     EXPECT_EQ(obs::counter_value("sim/assemble_full"), 1u);
     EXPECT_GT(obs::counter_value("sim/assemble_incremental"), 0u);
     EXPECT_GT(obs::counter_value("sim/assemble_cache_hits"), 0u);
-    EXPECT_GT(obs::counter_value("numeric/lu_partial_refactor"), 0u);
+    EXPECT_GT(obs::counter_value("sim/condensed_s_factors"), 0u);
+}
+
+TEST_F(AssemblyTest, CondensedEngineFactorsA11OncePerKeyAndSOncePerIteration) {
+    // The linear block is factored once per (dt, order) image, never per
+    // iteration; each Newton iteration factors only the dense Schur
+    // complement.  A forced retry adds the halved-dt key to the count.
+    obs::set_enabled(true);
+    sim::TranOptions opt;
+    opt.dt = 20e-12;
+    opt.tstop = 4e-9;
+#if SNIM_FAULTS_ENABLED
+    fault::arm({"tran.step.fail", 40, 1});
+#endif
+    auto nl = ladder_with_mosfet(40);
+    const auto res = sim::transient(nl, {"out"}, opt);
+
+    const uint64_t keys = obs::counter_value("sim/assemble_cache_misses");
+    EXPECT_EQ(obs::counter_value("sim/condensed_a11_factors"), keys);
+#if SNIM_FAULTS_ENABLED
+    EXPECT_EQ(res.step_retries, 1);
+    EXPECT_EQ(keys, 3u); // BE startup, trapezoidal, trapezoidal at dt/2
+#else
+    EXPECT_EQ(res.step_retries, 0);
+    EXPECT_EQ(keys, 2u); // BE startup, trapezoidal
+#endif
+    EXPECT_EQ(obs::counter_value("sim/condensed_s_factors"),
+              obs::phase_calls("sim/transient/newton"));
+    // Only the operating point still refactors a full sparse LU.
+    EXPECT_LT(obs::counter_value("numeric/lu_refactor"), 100u);
 }
 
 TEST_F(AssemblyTest, AntiphasePassGateRunsOneLearningPass) {
     // An NMOS pass gate between two antiphase sine sources: vds crosses
     // zero every half period, so the channel stamp flips orientation
     // throughout the run.  One learning pass must serve all of it, the
-    // partial refactor must stay armed, and the waveform must still match
-    // the full-re-stamp reference.
+    // condensed solve must carry every iteration, and the waveform must
+    // still match the full-re-stamp reference.
     const auto pass_gate = [] {
         circuit::Netlist nl;
         const tech::MosModelCard nch = tech::generic180().mos_model("nch");
@@ -393,7 +526,8 @@ TEST_F(AssemblyTest, AntiphasePassGateRunsOneLearningPass) {
     auto nl1 = pass_gate();
     const auto engine = sim::transient(nl1, {"na", "nb"}, opt);
     EXPECT_EQ(obs::counter_value("sim/assemble_full"), 1u);
-    EXPECT_GT(obs::counter_value("numeric/lu_partial_refactor"), 0u);
+    EXPECT_EQ(obs::counter_value("sim/condensed_s_factors"),
+              obs::phase_calls("sim/transient/newton"));
     obs::set_enabled(false);
 
     auto nl2 = pass_gate();

@@ -256,6 +256,34 @@ TEST_F(ParallelTest, ReusableLuCountsReuseAndGuardFallbacks) {
 }
 #endif // SNIM_OBS_ENABLED
 
+#if SNIM_FAULTS_ENABLED
+TEST_F(ParallelTest, ReusableLuForcedRepivotMatchesFreshFactorization) {
+    // numeric.lu.repivot forces the guard's full re-pivoting fallback on a
+    // reuse opportunity.  Fallback or refactor, every solve must equal a
+    // fresh factorization of the same matrix bit for bit.
+#if SNIM_OBS_ENABLED
+    obs::set_enabled(true);
+#endif
+    fault::arm({"numeric.lu.repivot", 2, 3}); // force 3 full re-pivots
+    const size_t n = 50;
+    std::vector<double> b(n);
+    for (size_t i = 0; i < n; ++i) b[i] = std::cos(static_cast<double>(i));
+    ReusableLU<double> rlu;
+    for (int k = 0; k < 8; ++k) {
+        const auto a = test_matrix(n, 0.05 * k);
+        rlu.factor(a);
+        const auto x = rlu.solve(b);
+        const auto xf = SparseLU<double>(a).solve(b);
+        EXPECT_EQ(0, std::memcmp(x.data(), xf.data(), n * sizeof(double))) << "matrix " << k;
+    }
+    EXPECT_EQ(fault::trips("numeric.lu.repivot"), 3);
+#if SNIM_OBS_ENABLED
+    EXPECT_EQ(obs::counter_value("numeric/lu_repivot_fallbacks"), 3u);
+    EXPECT_EQ(obs::counter_value("numeric/lu_symbolic_reuse"), 4u);
+#endif
+}
+#endif // SNIM_FAULTS_ENABLED
+
 // --- compiled stamp assembly ----------------------------------------------
 
 TEST_F(ParallelTest, CompiledStamperMatchesTripletAssemblyBitwise) {
@@ -364,38 +392,10 @@ TEST_F(ParallelTest, TransientReuseMatchesFreshFactorizationReference) {
             << "sample " << k;
 }
 
-#if SNIM_FAULTS_ENABLED
-TEST_F(ParallelTest, ForcedRepivotFallsBackWithoutChangingTheWaveform) {
-    sim::TranOptions opt;
-    opt.dt = 1e-9;
-    opt.tstop = 50e-9;
-
-    auto nl1 = sine_rc_netlist();
-    const auto clean = sim::transient(nl1, {"out"}, opt);
-
-#if SNIM_OBS_ENABLED
-    obs::set_enabled(true);
-#endif
-    fault::arm({"numeric.lu.repivot", 5, 3}); // force 3 full re-pivots
-    auto nl2 = sine_rc_netlist();
-    const auto faulted = sim::transient(nl2, {"out"}, opt);
-    EXPECT_EQ(fault::trips("numeric.lu.repivot"), 3);
-#if SNIM_OBS_ENABLED
-    EXPECT_EQ(obs::counter_value("numeric/lu_repivot_fallbacks"), 3u);
-    EXPECT_GT(obs::counter_value("numeric/lu_symbolic_reuse"), 0u);
-#endif
-
-    // A forced full factorization picks the same pivots the reference run's
-    // refactor reproduces, so the waveform must not move by a single bit.
-    ASSERT_EQ(clean.wave("out").size(), faulted.wave("out").size());
-    for (size_t k = 0; k < clean.wave("out").size(); ++k)
-        EXPECT_EQ(clean.wave("out")[k], faulted.wave("out")[k]) << "sample " << k;
-}
-#endif // SNIM_FAULTS_ENABLED
 
 #if SNIM_OBS_ENABLED
 TEST_F(ParallelTest, IncrementalTransientIsThreadCountInvariant) {
-    // The incremental engine (assembler cache, partial refactors,
+    // The incremental engine (assembler cache, condensed solve,
     // predictor) is serial per run, but it must neither read nor leak any
     // thread-pool state: waveform bytes AND the assembly / factorization
     // counters have to match for any thread count.
@@ -404,7 +404,7 @@ TEST_F(ParallelTest, IncrementalTransientIsThreadCountInvariant) {
     opt.tstop = 50e-9;
 
     std::vector<double> ref_wave;
-    uint64_t ref_incr = 0, ref_partial = 0, ref_hits = 0;
+    uint64_t ref_incr = 0, ref_sfac = 0, ref_hits = 0;
     for (const int threads : {1, 4}) {
         util::set_default_thread_count(threads);
         obs::reset();
@@ -412,14 +412,14 @@ TEST_F(ParallelTest, IncrementalTransientIsThreadCountInvariant) {
         auto nl = sine_rc_netlist();
         const auto res = sim::transient(nl, {"out"}, opt);
         const uint64_t incr = obs::counter_value("sim/assemble_incremental");
-        const uint64_t partial = obs::counter_value("numeric/lu_partial_refactor");
+        const uint64_t sfac = obs::counter_value("sim/condensed_s_factors");
         const uint64_t hits = obs::counter_value("sim/assemble_cache_hits");
         EXPECT_EQ(obs::counter_value("sim/assemble_full"), 1u);
         EXPECT_GT(incr, 0u);
         if (threads == 1) {
             ref_wave = res.wave("out");
             ref_incr = incr;
-            ref_partial = partial;
+            ref_sfac = sfac;
             ref_hits = hits;
             continue;
         }
@@ -427,7 +427,7 @@ TEST_F(ParallelTest, IncrementalTransientIsThreadCountInvariant) {
         EXPECT_EQ(0, std::memcmp(ref_wave.data(), res.wave("out").data(),
                                  ref_wave.size() * sizeof(double)));
         EXPECT_EQ(ref_incr, incr);
-        EXPECT_EQ(ref_partial, partial);
+        EXPECT_EQ(ref_sfac, sfac);
         EXPECT_EQ(ref_hits, hits);
     }
 }

@@ -165,6 +165,16 @@ TEST_F(ProvenanceTest, TranOptionsDigestSeesEveryPerturbedField) {
     EXPECT_EQ(digest_of(base), h0);
 }
 
+TEST_F(ProvenanceTest, TranOptionsDigestCarriesTheEngineRevision) {
+    // The partial-refactor engine digested default TranOptions to this
+    // value and carried no engine revision.  Its checkpoints round
+    // differently from the condensed engine, so the same options must
+    // digest differently now and such a checkpoint refuses to resume.
+    obs::ConfigDigest d;
+    sim::digest_options(d, sim::TranOptions{});
+    EXPECT_NE(d.value64(), 0x389f138e88adf1d1ULL);
+}
+
 TEST_F(ProvenanceTest, OpAndFlowAndBenchDigestsReactToChanges) {
     const auto op_digest = [](const sim::OpOptions& o) {
         obs::ConfigDigest d;
