@@ -376,7 +376,7 @@ int run(const Args& a) {
     std::vector<obs::Verdict> verdicts;
     if (!a.baseline_path.empty())
         verdicts = obs::compare_to_baseline(read_json_file(a.baseline_path),
-                                            results, a.fail_pct);
+                                            results, a.fail_pct, opt);
     else
         verdicts = obs::accuracy_verdicts(results);
     std::fputs(obs::verdict_table(verdicts).c_str(), stdout);

@@ -5,6 +5,7 @@
 
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
+#include "obs/registry.hpp"
 #include "sim/op.hpp"
 #include "sim/transfer.hpp"
 #include "util/error.hpp"
@@ -86,38 +87,72 @@ std::vector<circuit::Device*> ImpactAnalyzer::coupling_devices(const NoiseEntry&
 
 rf::OscOptions ImpactAnalyzer::osc_tagged(const std::string& suffix) const {
     rf::OscOptions osc = opt_.osc;
-    // Every capture in a calibration sequence shares one checkpoint dir, and
-    // several of them run with IDENTICAL transient options (the +dv and -dv
-    // sensitivity pair, for one), so the config digest alone cannot tell
-    // their snapshots apart -- the file name must.
     const std::string base =
         osc.checkpoint.tag.empty() ? std::string("osc") : osc.checkpoint.tag;
     osc.checkpoint.tag = base + "." + suffix;
     return osc;
 }
 
-std::pair<double, double> ImpactAnalyzer::dc_path_sensitivity(const std::string& tag) {
-    set_noise_dc(opt_.dv_dc);
-    const auto plus = rf::capture_oscillator(model_.netlist, osc_tagged(tag + ".p"));
-    set_noise_dc(-opt_.dv_dc);
-    const auto minus = rf::capture_oscillator(model_.netlist, osc_tagged(tag + ".m"));
-    set_noise_dc(0.0);
-    const double k = (plus.fc - minus.fc) / (2.0 * opt_.dv_dc);
-    const double g =
-        (plus.amplitude - minus.amplitude) / (2.0 * opt_.dv_dc * baseline_.amplitude);
-    return {k, g};
+ImpactAnalyzer::DcPair ImpactAnalyzer::dc_pair(const std::function<void(int)>& set,
+                                               bool brute) {
+    DcPair out;
+    if (!brute && orbit_.grid > 0) {
+        try {
+            set(+1);
+            out.plus = rf::oscillator_pss(model_.netlist, opt_.osc, &orbit_).capture;
+            set(-1);
+            out.minus = rf::oscillator_pss(model_.netlist, opt_.osc, &orbit_).capture;
+            set(0);
+            return out;
+        } catch (const rf::PssError& e) {
+            log_warn("impact: %s; measuring the pair by brute-force capture", e.what());
+        }
+    }
+    if (!brute) obs::count("rf/pss_fallbacks", 2);
+    // Brute-force captures run in a fixed order, so a resumed process gives
+    // each one the checkpoint file it wrote before (the two captures of a
+    // pair have identical transient options and must not share a file).
+    out.brute = true;
+    set(+1);
+    out.plus = rf::capture_oscillator(model_.netlist,
+                                      osc_tagged(format("dc%d", ++brute_captures_)));
+    set(-1);
+    out.minus = rf::capture_oscillator(model_.netlist,
+                                       osc_tagged(format("dc%d", ++brute_captures_)));
+    set(0);
+    return out;
+}
+
+ImpactAnalyzer::Sensitivity ImpactAnalyzer::dc_path_sensitivity(bool brute) {
+    const auto pair = dc_pair([&](int sign) { set_noise_dc(sign * opt_.dv_dc); }, brute);
+    Sensitivity s;
+    s.k = (pair.plus.fc - pair.minus.fc) / (2.0 * opt_.dv_dc);
+    s.g = (pair.plus.amplitude - pair.minus.amplitude) /
+          (2.0 * opt_.dv_dc * baseline_.amplitude);
+    s.brute = pair.brute;
+    return s;
 }
 
 void ImpactAnalyzer::calibrate() {
     set_noise_dc(0.0);
-    log_info("impact: baseline oscillator run");
-    baseline_ = rf::capture_oscillator(model_.netlist, osc_tagged("cal0"));
+    brute_ref_.reset();
+    log_info("impact: baseline oscillator orbit");
+    try {
+        orbit_ = rf::oscillator_pss(model_.netlist, opt_.osc);
+        baseline_ = orbit_.capture;
+    } catch (const rf::PssError& e) {
+        log_warn("impact: %s; measuring by brute-force capture", e.what());
+        obs::count("rf/pss_fallbacks");
+        orbit_ = rf::OscPss{};
+        baseline_ = rf::capture_oscillator(model_.netlist,
+                                           osc_tagged(format("dc%d", ++brute_captures_)));
+    }
     log_info("impact: fc = %.6g Hz, amplitude = %.4g V", baseline_.fc,
              baseline_.amplitude);
 
-    auto [k, g] = dc_path_sensitivity("cal");
-    k_src_ = k;
-    g_src_ = g;
+    const Sensitivity s = dc_path_sensitivity();
+    k_src_ = s.k;
+    g_src_ = s.g;
     log_info("impact: K_src = %.5g Hz/V, G_src = %.4g 1/V", k_src_, g_src_);
 
     sim::OpOptions oo;
@@ -164,15 +199,22 @@ void ImpactAnalyzer::calibrate_paths() {
         // gate still certifies every solve.
         const double rcond_floor = opt_.osc.certify.rcond_min;
         opt_.osc.certify.rcond_min = 0.0;
-        const auto [k_wo, g_wo] = dc_path_sensitivity(format("wo%zu", ei));
+        const Sensitivity wo = dc_path_sensitivity();
         opt_.osc.certify.rcond_min = rcond_floor;
         for (auto* d : devices) d->set_disabled(false);
         for (auto& [r, value] : shorted) r->set_resistance(value);
 
         PathSensitivity p;
         p.label = e.label;
-        p.k_res = k_src_ - k_wo;
-        p.g_res = g_src_ - g_wo;
+        // A pair that fell back is compared with K_src/G_src of the same
+        // method: PSS and brute-force K differ by up to ~1% (EXPERIMENTS.md).
+        Sensitivity full{k_src_, g_src_, !(orbit_.grid > 0)};
+        if (wo.brute && !full.brute) {
+            if (!brute_ref_) brute_ref_ = dc_path_sensitivity(/*brute=*/true);
+            full = *brute_ref_;
+        }
+        p.k_res = full.k - wo.k;
+        p.g_res = full.g - wo.g;
         paths_.push_back(p);
         log_info("impact: K(%s) = %.5g Hz/V (leave-one-out)", e.label.c_str(), p.k_res);
     }
@@ -191,14 +233,10 @@ void ImpactAnalyzer::calibrate_paths() {
             auto* v = model_.netlist.find_as<circuit::VSource>(src);
             SNIM_ASSERT(v != nullptr, "lever source '%s' is not a V source", src.c_str());
             const double v0 = v->waveform().dc_value();
-            v->set_waveform(circuit::Waveform::dc(v0 + opt_.lever_dv));
-            const auto plus = rf::capture_oscillator(
-                model_.netlist, osc_tagged(format("lever%zu.p", i)));
-            v->set_waveform(circuit::Waveform::dc(v0 - opt_.lever_dv));
-            const auto minus = rf::capture_oscillator(
-                model_.netlist, osc_tagged(format("lever%zu.m", i)));
-            v->set_waveform(circuit::Waveform::dc(v0));
-            const double lever = (plus.fc - minus.fc) / (2.0 * opt_.lever_dv);
+            const auto pair = dc_pair([&](int sign) {
+                v->set_waveform(circuit::Waveform::dc(v0 + sign * opt_.lever_dv));
+            });
+            const double lever = (pair.plus.fc - pair.minus.fc) / (2.0 * opt_.lever_dv);
             it = lever_cache.emplace(src, lever).first;
             log_info("impact: lever(%s) = %.5g Hz/V", src.c_str(), lever);
         }

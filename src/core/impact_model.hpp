@@ -17,8 +17,11 @@
 #pragma once
 
 #include <complex>
+#include <functional>
+#include <optional>
 
 #include "core/impact_flow.hpp"
+#include "rf/pss.hpp"
 #include "rf/spur.hpp"
 
 namespace snim::core {
@@ -155,12 +158,25 @@ private:
     std::complex<double> entry_transfer(size_t entry, double fnoise,
                                         const std::vector<const circuit::Device*>* exclude);
     /// Copy of opt_.osc with `suffix` appended to the checkpoint tag, so
-    /// every capture in a calibration sequence snapshots to its own file.
+    /// every transient capture in a sequence snapshots to its own file.
     rf::OscOptions osc_tagged(const std::string& suffix) const;
-    /// K_src/G_src measurement with the current enable/disable state.  `tag`
-    /// distinguishes the checkpoint files of the +dv/-dv pair from other
-    /// sensitivity pairs run in the same process.
-    std::pair<double, double> dc_path_sensitivity(const std::string& tag);
+    /// The oscillator's DC steady states under `set(+1)` and `set(-1)` (a
+    /// source moved up and down; `set(0)` restores it): PSS orbits started
+    /// from the baseline orbit.  When a PSS raises rf::PssError, when the
+    /// baseline itself fell back, or with `brute`, both are brute-force
+    /// captures (counted as rf/pss_fallbacks when not asked for), so one
+    /// finite difference never mixes the methods.
+    struct DcPair {
+        rf::OscCapture plus, minus;
+        bool brute = false;
+    };
+    DcPair dc_pair(const std::function<void(int)>& set, bool brute = false);
+    /// K_src/G_src with the current enable/disable state: the +-dv_dc pair.
+    struct Sensitivity {
+        double k = 0.0, g = 0.0;
+        bool brute = false; // measured by brute-force capture
+    };
+    Sensitivity dc_path_sensitivity(bool brute = false);
     rf::OscCapture capture_noisy(double fnoise, double min_periods);
 
     ImpactModel& model_;
@@ -169,6 +185,11 @@ private:
     AnalyzerOptions opt_;
     bool calibrated_ = false;
     rf::OscCapture baseline_;
+    rf::OscPss orbit_; // baseline PSS orbit; grid == 0 after a fallback
+    int brute_captures_ = 0; // checkpoint tags of brute-force DC captures
+    /// K_src/G_src by brute-force capture, measured once when a
+    /// leave-one-out pair falls back, so K_res differences one method.
+    std::optional<Sensitivity> brute_ref_;
     double k_src_ = 0.0;
     double g_src_ = 0.0;
     std::vector<PathSensitivity> paths_;

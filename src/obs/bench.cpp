@@ -406,6 +406,7 @@ const char* verdict_name(VerdictKind kind) {
         case VerdictKind::AccuracyFail: return "ACCURACY FAIL";
         case VerdictKind::New: return "new";
         case VerdictKind::Missing: return "missing";
+        case VerdictKind::Incomparable: return "INCOMPARABLE";
     }
     return "?";
 }
@@ -429,9 +430,34 @@ std::vector<Verdict> accuracy_verdicts(const std::vector<ScenarioResult>& result
     return out;
 }
 
+namespace {
+
+/// The configuration fields a runtime comparison must hold fixed, read from
+/// a BENCH report ("?" where an older report does not carry one).
+std::vector<std::pair<std::string, std::string>> run_config(const Json& report) {
+    auto text = [](const Json& v) -> std::string {
+        if (v.is_bool()) return v.as_bool() ? "true" : "false";
+        if (v.is_number()) return format("%g", v.as_number());
+        if (v.is_string()) return v.as_string();
+        return "?";
+    };
+    auto field = [&](const Json& obj, const char* key) -> std::string {
+        return obj.contains(key) ? text(obj.at(key)) : "?";
+    };
+    const Json none;
+    const Json& m = report.contains("manifest") ? report.at("manifest") : none;
+    return {{"quick", field(report, "quick")},
+            {"threads", field(report, "threads")},
+            {"build_type", field(m, "build_type")},
+            {"obs_enabled", field(m, "obs_enabled")},
+            {"faults_enabled", field(m, "faults_enabled")}};
+}
+
+} // namespace
+
 std::vector<Verdict> compare_to_baseline(const Json& baseline,
                                          const std::vector<ScenarioResult>& results,
-                                         double fail_pct) {
+                                         double fail_pct, const BenchOptions& opt) {
     if (!baseline.is_object() || !baseline.contains("schema_version"))
         raise("baseline is not a snim_bench report (no schema_version)");
     const int version = static_cast<int>(baseline.at("schema_version").as_number());
@@ -450,6 +476,16 @@ std::vector<Verdict> compare_to_baseline(const Json& baseline,
         return nullptr;
     };
 
+    std::string differs;
+    const auto base_config = run_config(baseline);
+    const auto this_config = run_config(bench_report_json({}, opt));
+    for (size_t i = 0; i < base_config.size(); ++i) {
+        if (base_config[i].second == this_config[i].second) continue;
+        differs += format("%s%s %s vs %s", differs.empty() ? "" : ", ",
+                          base_config[i].first.c_str(), base_config[i].second.c_str(),
+                          this_config[i].second.c_str());
+    }
+
     std::vector<Verdict> out;
     for (const auto& r : results) {
         Verdict fail;
@@ -457,7 +493,14 @@ std::vector<Verdict> compare_to_baseline(const Json& baseline,
             out.push_back(std::move(fail));
             continue;
         }
-        if (const double* old_median = base_median(r.name)) {
+        if (!differs.empty()) {
+            Verdict v;
+            v.scenario = r.name;
+            v.kind = VerdictKind::Incomparable;
+            v.median_s = r.runtime.median_s;
+            v.detail = "baseline vs this run: " + differs;
+            out.push_back(std::move(v));
+        } else if (const double* old_median = base_median(r.name)) {
             out.push_back(runtime_verdict(r, *old_median, fail_pct));
         } else {
             Verdict v;
@@ -484,7 +527,8 @@ std::vector<Verdict> compare_to_baseline(const Json& baseline,
 
 bool gate_passes(const std::vector<Verdict>& verdicts) {
     for (const auto& v : verdicts)
-        if (v.kind == VerdictKind::Regress || v.kind == VerdictKind::AccuracyFail)
+        if (v.kind == VerdictKind::Regress || v.kind == VerdictKind::AccuracyFail ||
+            v.kind == VerdictKind::Incomparable)
             return false;
     return true;
 }

@@ -200,6 +200,7 @@ enum class VerdictKind {
     AccuracyFail, // an accuracy delta exceeds its per-figure tolerance
     New,          // scenario absent from the baseline (informational)
     Missing,      // baseline scenario absent from this run (informational)
+    Incomparable, // baseline ran another configuration: no runtime verdict
 };
 
 const char* verdict_name(VerdictKind kind);
@@ -219,11 +220,17 @@ std::vector<Verdict> accuracy_verdicts(const std::vector<ScenarioResult>& result
 /// Full gate: accuracy tolerances plus median-runtime comparison against a
 /// parsed baseline BENCH_*.json at `fail_pct` percent.  Accepts baselines
 /// with schema_version 1..kBenchSchemaVersion; raises on anything else.
+/// Runtimes compare only like with like: when the baseline's quick flag,
+/// thread count, build type or obs/fault hooks differ from this run's
+/// (`opt` and this binary), every scenario without an accuracy failure is
+/// Incomparable, naming the differing fields.
 std::vector<Verdict> compare_to_baseline(const Json& baseline,
                                          const std::vector<ScenarioResult>& results,
-                                         double fail_pct);
+                                         double fail_pct,
+                                         const BenchOptions& opt = BenchOptions{});
 
-/// False when any verdict is Regress or AccuracyFail.
+/// False when any verdict is Regress, AccuracyFail or Incomparable (a
+/// runtime gate that cannot be evaluated does not pass).
 bool gate_passes(const std::vector<Verdict>& verdicts);
 
 /// Human-readable verdict table.

@@ -589,7 +589,9 @@ TranAssembler::KeyImage& TranAssembler::key_image(const circuit::TranParams& tp)
             return e;
         }
     obs::count("sim/assemble_cache_misses");
-    if (cache_.size() >= 96) cache_.clear(); // ladder keys never get near this
+    // The retry ladder and the BE startup visit a handful of keys; a PSS
+    // visits a new one per Newton update of its period, which this bounds.
+    if (cache_.size() >= 8) cache_.clear();
     KeyImage img;
     img.dt_bits = bits;
     img.order = tp.order;

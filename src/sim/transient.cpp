@@ -3,21 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <optional>
-#include <thread>
 
-#include "numeric/certify.hpp"
-#include "sim/assembly.hpp"
-#include "numeric/vecops.hpp"
 #include "obs/events.hpp"
 #include "obs/progress.hpp"
 #include "obs/provenance.hpp"
-#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "sim/diagnostics.hpp"
 #include "sim/op.hpp"
-#include "util/fault.hpp"
+#include "sim/stepper.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
@@ -58,46 +52,6 @@ obs::JsonObject tran_options_json(const TranOptions& opt) {
     return o;
 }
 
-/// Post-accept KCL conservation audit: the worst per-node current-sum
-/// residual |A x - b|_i over the node rows of the freshly assembled system
-/// at the accepted solution.  In MNA companion form that residual IS the
-/// net device current left sitting on the node, so a healthy accepted step
-/// reads near the Newton tolerance and a drifting charge model reads hot.
-/// Returns the worst residual and its node index through the out-params.
-void kcl_audit(const circuit::Netlist& netlist, const SparseCSC<double>& a,
-               const std::vector<double>& b, const std::vector<double>& x,
-               double& worst, int& worst_node) {
-    const std::vector<double> ax = a.multiply(x);
-    worst = 0.0;
-    worst_node = -1;
-    for (size_t i = 0; i < netlist.node_count(); ++i) {
-        const double r = std::fabs(ax[i] - b[i]);
-        if (!(r <= worst)) { // NaN ranks worst
-            worst = std::isfinite(r) ? r : std::numeric_limits<double>::infinity();
-            worst_node = static_cast<int>(i);
-        }
-    }
-}
-
-/// Bounded FIFO of retry events for the diagnosis bundle.
-class RetryLog {
-public:
-    explicit RetryLog(size_t capacity) : cap_(std::max<size_t>(1, capacity)) {}
-
-    void push(RetryEvent e) {
-        if (events_.size() == cap_) events_.erase(events_.begin());
-        events_.push_back(std::move(e));
-        ++total_;
-    }
-    const std::vector<RetryEvent>& events() const { return events_; }
-    long total() const { return total_; }
-
-private:
-    size_t cap_;
-    std::vector<RetryEvent> events_;
-    long total_ = 0;
-};
-
 [[noreturn]] void fail_transient(const circuit::Netlist& netlist,
                                  const TranOptions& opt, const TranResult& partial,
                                  const StepTelemetryRing& ring,
@@ -135,18 +89,6 @@ private:
           reason, time, step, nsteps, opt.dt, partial.time.size(), retried.c_str(),
           worst.c_str(), bundle.empty() ? "" : "; diagnosis bundle: ",
           bundle.empty() ? "" : bundle.c_str());
-}
-
-/// Why one step attempt was rejected.
-enum class Reject { none, no_convergence, nonfinite, singular };
-
-const char* reject_name(Reject r) {
-    switch (r) {
-        case Reject::no_convergence: return "no_convergence";
-        case Reject::nonfinite: return "nonfinite_update";
-        case Reject::singular: return "singular_system";
-        default: return "none";
-    }
 }
 
 /// Merges the per-run checkpoint knobs with the process-default policy and
@@ -268,64 +210,28 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
     out.time.reserve(est);
     for (auto& w : out.waves) w.reserve(est);
 
-    // The dt backoff ladder subdivides the nominal grid by powers of two:
-    // at `level`, micro-steps are dt / 2^level and a nominal step is 2^level
-    // micro-positions wide.  dt_min (0 -> dt/4096) bounds the subdivision.
-    int max_level = 0;
-    if (opt.adaptive) {
-        const double floor_dt = opt.dt_min > 0.0 ? opt.dt_min : opt.dt / 4096.0;
-        while (opt.dt / static_cast<double>(1L << (max_level + 1)) >= floor_dt &&
-               max_level < 30)
-            ++max_level;
-    }
-
-    circuit::RealStamper s(n);
-    std::vector<double> x_acc = x;       // last accepted (committed) state
-    std::vector<double> x_prev = x;      // accepted state one micro-step back
-    std::vector<double> xit = x;         // Newton iterate of the attempt
-    std::vector<double> last_dx(n, 0.0); // per-unknown update of the last iteration
-    std::vector<double> xn;              // tentative Newton iterate
-    StepTelemetryRing ring(static_cast<size_t>(opt.diag_tail));
-    RetryLog retries(static_cast<size_t>(opt.retry_history));
+    // The accepted-step loop (retry ladder, Newton, certificates, step
+    // telemetry) lives in the stepper, which rf::oscillator_pss drives too.
+    TranStepper st(netlist, opt, x);
     long recorded = 0;
     long averaged = 0;
     if (opt.accumulate_average) out.average.assign(n, 0.0);
     if (resuming) {
         // Replay the recorded prefix and the accumulator state; `average`
         // holds RAW sums until the final divide.
-        x_prev = res->x_prev;
+        st.x_prev = res->x_prev;
         recorded = static_cast<long>(res->recorded);
         averaged = static_cast<long>(res->averaged);
         if (opt.accumulate_average) out.average = res->average;
         out.time = res->time;
         out.waves = res->waves;
-        out.step_retries = static_cast<long>(res->step_retries);
-    }
-
-    // The assembler pre-assembles the linear stamps once, caches companion
-    // images per (dt, order) and re-stamps only the nonlinear devices per
-    // Newton iteration; its condensed solve eliminates the linear network
-    // once per key and per attempt, leaving a small dense factorization of
-    // the nonlinear block per iteration (DESIGN.md §14).
-    s.enable_compiled_assembly();
-    TranAssembler assembler(netlist, s, opt.gmin);
-
-    const double lte_reltol = opt.lte_reltol > 0.0 ? opt.lte_reltol : opt.reltol;
-    const double lte_abstol = opt.lte_abstol > 0.0 ? opt.lte_abstol : opt.vntol;
-
-    long attempt_no = 0;       // global step-attempt counter (telemetry "step")
-    long be_steps_done = 0;    // accepted steps integrated with BE so far
-    int level = 0;             // current subdivision depth (0 = nominal dt)
-    int consecutive_accepts = 0;
-    double dt_prev = 0.0;      // accepted step before the current one (LTE)
-    bool lte_ok = true;        // last accepted step passed the LTE gate
-    if (resuming) {
-        attempt_no = static_cast<long>(res->attempt_no);
-        be_steps_done = static_cast<long>(res->be_steps_done);
-        level = static_cast<int>(res->level);
-        consecutive_accepts = static_cast<int>(res->consecutive_accepts);
-        dt_prev = res->dt_prev;
-        lte_ok = res->lte_ok;
+        st.step_retries = static_cast<long>(res->step_retries);
+        st.attempt_no = static_cast<long>(res->attempt_no);
+        st.be_steps_done = static_cast<long>(res->be_steps_done);
+        st.level = static_cast<int>(res->level);
+        st.consecutive_accepts = static_cast<int>(res->consecutive_accepts);
+        st.dt_prev = res->dt_prev;
+        st.lte_ok = res->lte_ok;
     }
 
     // Live progress over the nominal grid (heartbeats/ETA); inert unless
@@ -362,17 +268,17 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
         c.config_digest = ckpt_digest;
         c.rng_seed = default_rng_seed();
         c.step = steps_done;
-        c.attempt_no = attempt_no;
-        c.be_steps_done = be_steps_done;
-        c.level = level;
-        c.consecutive_accepts = consecutive_accepts;
-        c.step_retries = out.step_retries;
+        c.attempt_no = st.attempt_no;
+        c.be_steps_done = st.be_steps_done;
+        c.level = st.level;
+        c.consecutive_accepts = st.consecutive_accepts;
+        c.step_retries = st.step_retries;
         c.recorded = recorded;
         c.averaged = averaged;
-        c.dt_prev = dt_prev;
-        c.lte_ok = lte_ok;
-        c.x_acc = x_acc;
-        c.x_prev = x_prev;
+        c.dt_prev = st.dt_prev;
+        c.lte_ok = st.lte_ok;
+        c.x_acc = st.x_acc;
+        c.x_prev = st.x_prev;
         for (const auto& d : netlist.devices()) d->save_tran_state(c.device_state);
         c.average = out.average;
         c.probe_names = out.probe_names;
@@ -404,250 +310,19 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
     };
 
     for (long step = start_step; step <= nsteps; ++step) {
-        // Position within the nominal step in units of dt / 2^level.  The
-        // step completes when k reaches 2^level; regrowth halves both the
-        // numerator and the denominator, so alignment is exact.
-        long k = 0;
-        int step_retries = 0;
-        const double t_base = static_cast<double>(step - 1) * opt.dt;
-
-        while (k < (1L << level)) {
-            const double dt_cur = opt.dt / static_cast<double>(1L << level);
-            circuit::TranParams tp;
-            tp.dt = dt_cur;
-            // The last micro-step lands on the nominal boundary *exactly*
-            // (computed as step * dt, not t_base + k * dt_cur) so source
-            // evaluation and recording stay bit-identical to the fixed-step
-            // loop whenever no retry fired.
-            tp.time = (k + 1 == (1L << level))
-                          ? static_cast<double>(step) * opt.dt
-                          : t_base + static_cast<double>(k + 1) * dt_cur;
-            tp.order = (be_steps_done < kBeStartupSteps) ? 1 : opt.order;
-
-            obs::ScopedTimer obs_step("sim/transient/step");
-
-            // Newton iteration, seeded with the LTE gate's linear predictor
-            // (the last accepted solution on the first step), which starts
-            // close enough that most steps converge in two quadratic
-            // iterations instead of three.  x_acc, x_prev and dt_prev are
-            // all checkpointed, so a resumed run predicts the exact same
-            // starting iterate.
-            StepTelemetry tel;
-            tel.step = ++attempt_no;
-            tel.time = tp.time;
-            tel.dt = dt_cur;
-            Reject reject = Reject::none;
-            bool converged = false;
-            double max_dx = 0.0;
-            if (dt_prev > 0.0) {
-                const double r = dt_cur / dt_prev;
-                for (size_t i = 0; i < n; ++i)
-                    xit[i] = x_acc[i] + r * (x_acc[i] - x_prev[i]);
-            } else {
-                xit = x_acc;
-            }
-            {
-                obs::ScopedTimer obs_ba("sim/transient/begin_attempt");
-                assembler.begin_attempt(xit, tp);
-            }
-            for (int it = 0; it < opt.max_newton; ++it) {
-                obs::ScopedTimer obs_newton("sim/transient/newton");
-                tel.newton_iters = it + 1;
-                {
-                    obs::ScopedTimer obs_asm("sim/transient/newton/assemble");
-                    assembler.assemble(xit, tp);
-                }
-                try {
-                    obs::ScopedTimer obs_solve("sim/transient/newton/solve");
-                    if (fault::fires("tran.lu.singular"))
-                        raise("fault injected: tran.lu.singular");
-                    assembler.solve(xn);
-                    tel.lu_min_pivot = assembler.solver().min_pivot();
-                    tel.lu_fill_growth = assembler.solver().fill_growth();
-                } catch (const Error&) {
-                    reject = Reject::singular;
-                    break;
-                }
-                if (fault::fires("tran.newton.nonfinite"))
-                    xn[0] = std::numeric_limits<double>::quiet_NaN();
-                max_dx = 0.0;
-                tel.worst_unknown = -1;
-                bool nonfinite = false;
-                for (size_t i = 0; i < n; ++i) {
-                    double dx = xn[i] - xit[i];
-                    // A NaN never wins a '>' comparison, so test finiteness
-                    // explicitly — a poisoned update must trip the recovery
-                    // ladder, not silently spin until max_newton runs out.
-                    if (!std::isfinite(dx)) nonfinite = true;
-                    if (i < netlist.node_count()) {
-                        const double clamped = std::clamp(dx, -opt.dv_max, opt.dv_max);
-                        if (clamped != dx) ++tel.clamp_hits;
-                        dx = clamped;
-                    }
-                    last_dx[i] = dx;
-                    if (std::fabs(dx) > max_dx) {
-                        max_dx = std::fabs(dx);
-                        tel.worst_unknown = static_cast<int>(i);
-                    }
-                }
-                // Apply the update and compute ||xit||_inf in one pass (max
-                // is order-independent, so this matches norm_inf).
-                double xit_norm = 0.0;
-                for (size_t i = 0; i < n; ++i) {
-                    xit[i] += last_dx[i];
-                    xit_norm = std::max(xit_norm, std::fabs(xit[i]));
-                }
-                if (nonfinite) {
-                    reject = Reject::nonfinite;
-                    break;
-                }
-                if (max_dx < opt.vntol + opt.reltol * xit_norm) {
-                    converged = true;
-                    break;
-                }
-            }
-            if (converged && fault::fires("tran.step.fail")) {
-                converged = false;
-                reject = Reject::no_convergence;
-            }
-            if (!converged && reject == Reject::none) reject = Reject::no_convergence;
-            tel.residual = max_dx;
-            tel.converged = converged;
-
-            // Numerical-health audit of accepted attempts, every
-            // certify.stride-th accepted micro-step (be_steps_done counts
-            // accepts, so the gate is deterministic).  The certificate covers
-            // the final Newton solve whose system is still in the stamper —
-            // refinement (if it fires) lands before the LTE gate and commit.
-            // Entirely obs-gated: an unobserved run does no extra work.
-            if (converged && opt.certify.enabled && obs::enabled() &&
-                be_steps_done % opt.certify.stride == 0) {
-                obs::ScopedTimer obs_cert("sim/transient/certify");
-                const obs::SolveCertificate cert =
-                    certify_solve(assembler.solver(), s.csc(), xit, s.rhs(), opt.certify);
-                tel.cert_omega = cert.omega;
-                tel.cert_rcond = cert.rcond;
-                obs::record_certificate("transient", cert, opt.certify);
-
-                // Conservation audit at the (possibly refined) accepted
-                // solution: re-assemble there and read the node-row residual.
-                assembler.assemble(xit, tp);
-                double kcl = 0.0;
-                int kcl_node = -1;
-                kcl_audit(netlist, s.csc(), s.rhs(), xit, kcl, kcl_node);
-                tel.kcl_residual = kcl;
-                obs::ts_append("sim/transient/kcl_residual", tp.time, kcl, "A");
-                obs::record_value("sim/kcl_worst_residual", kcl);
-                obs::budget_update("sim/kcl", kcl, kKclMax, "A",
-                                   /*higher_is_worse=*/true,
-                                   unknown_name(netlist, kcl_node));
-            }
-            ring.push(tel);
-            // A fired slow-step fault marks the attempt as pathologically
-            // slow in the health lanes (queried unconditionally so firing
-            // positions don't depend on whether the registry is on) and
-            // actually stalls the thread, so watchdog tests can induce a
-            // real hang.  Sleeping cannot change numeric results.
-            if (fault::fires("tran.slow_step")) {
-                obs::record_value("sim/transient/slow_step_s", 1.0);
-                const double stall_s = fault::slow_step_seconds();
-                if (stall_s > 0.0)
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double>(stall_s));
-            }
-            if (obs::enabled()) {
-                obs::count("sim/transient/steps");
-                obs::record_value("sim/transient/newton_per_step", tel.newton_iters);
-                if (!converged) obs::count("sim/transient/convergence_failures");
-                // Solver-health time-series: the per-step view of how hard
-                // the engine worked, exported to VCD and Perfetto lanes.
-                obs::ts_append("sim/transient/newton_iters", tp.time, tel.newton_iters,
-                               "iters");
-                obs::ts_append("sim/transient/residual", tp.time,
-                               std::isfinite(max_dx) ? max_dx : 0.0, "V");
-                obs::ts_append("sim/transient/clamp_hits", tp.time, tel.clamp_hits, "1");
-                obs::ts_append("sim/transient/lu_min_pivot", tp.time, tel.lu_min_pivot,
-                               "1");
-                obs::ts_append("sim/transient/lu_fill_growth", tp.time,
-                               tel.lu_fill_growth, "x");
-                obs::ts_append("sim/transient/dt", tp.time, dt_cur, "s");
-            }
-
-            if (!converged) {
-                // Reject the attempt.  Device state only advances in
-                // commit_tran, so restoring the iterate to the last accepted
-                // solution is the entire rollback.
-                const bool can_halve = opt.adaptive && level < max_level &&
-                                       step_retries < opt.max_step_retries;
-                if (!can_halve) {
-                    // Budget exhausted (or recovery disabled): report the
-                    // failure against the nominal grid the caller knows.
-                    const char* why =
-                        reject == Reject::nonfinite ? "produced a non-finite update"
-                        : reject == Reject::singular ? "hit a singular system"
-                                                     : "did not converge";
-                    fail_transient(netlist, opt, out, ring, last_dx, retries, why,
-                                   step, nsteps,
-                                   static_cast<double>(step) * opt.dt);
-                }
-                RetryEvent ev;
-                ev.step = step;
-                ev.time = tp.time;
-                ev.dt_from = dt_cur;
-                ev.dt_to = dt_cur / 2.0;
-                ev.newton_iters = tel.newton_iters;
-                ev.reason = reject_name(reject);
-                retries.push(ev);
-                ++out.step_retries;
-                ++step_retries;
-                obs::count("sim/transient/step_retries");
-                log_info("transient: step %ld rejected (%s) at t=%.4g, retrying "
-                         "with dt=%.3g",
-                         step, ev.reason.c_str(), tp.time, ev.dt_to);
-                ++level;
-                k *= 2; // same position, finer units
-                consecutive_accepts = 0;
-                continue;
-            }
-
-            // Accept: the LTE gate compares the corrector against a linear
-            // predictor extrapolated from the last two accepted states; a
-            // large error keeps dt from regrowing (it never rejects).
-            if (opt.lte_control && dt_prev > 0.0) {
-                double err = 0.0;
-                const double r = dt_cur / dt_prev;
-                for (size_t i = 0; i < n; ++i) {
-                    const double pred = x_acc[i] + r * (x_acc[i] - x_prev[i]);
-                    err = std::max(err, std::fabs(xit[i] - pred));
-                }
-                lte_ok = err < lte_reltol * norm_inf(xit) + lte_abstol;
-                if (obs::enabled())
-                    obs::ts_append("sim/transient/lte", tp.time, err, "V");
-            }
-            // commit_tran is a no-op for LinearStatic devices, so the
-            // assembler's partitioned list commits the identical state while
-            // skipping the static majority of the netlist.
-            assembler.commit(xit, tp);
-            x_prev = x_acc;
-            x_acc = xit;
-            dt_prev = dt_cur;
-            ++be_steps_done;
-            ++k;
-            ++consecutive_accepts;
-
-            // Regrow dt (level--) only on even positions, so the coarser
-            // grid still lands exactly on the nominal boundary.
-            if (level > 0 && consecutive_accepts >= opt.dt_recovery_accepts &&
-                k % 2 == 0 && lte_ok) {
-                --level;
-                k /= 2;
-                consecutive_accepts = 0;
-            }
+        const double t_nominal = static_cast<double>(step) * opt.dt;
+        if (const char* why = st.advance(step, static_cast<double>(step - 1) * opt.dt,
+                                         opt.dt, t_nominal)) {
+            // Budget exhausted (or recovery disabled): report the failure
+            // against the nominal grid the caller knows.
+            out.step_retries = st.step_retries;
+            fail_transient(netlist, opt, out, st.ring(), st.last_dx(), st.retries(), why,
+                           step, nsteps, t_nominal);
         }
+        const std::vector<double>& x_acc = st.x_acc;
 
         // Nominal boundary reached: record on the uniform grid exactly as
         // the fixed-step loop did.
-        const double t_nominal = static_cast<double>(step) * opt.dt;
         if (t_nominal >= opt.record_start) {
             if (recorded % opt.record_stride == 0) {
                 out.time.push_back(t_nominal);
@@ -677,6 +352,7 @@ TranResult transient(circuit::Netlist& netlist, const std::vector<std::string>& 
     // blanket --resume over a corner sweep replays completed corners
     // instantly and only integrates the unfinished ones.
     if (ckpt_on) write_snapshot(nsteps);
+    out.step_retries = st.step_retries;
     if (averaged > 0)
         for (auto& v : out.average) v /= static_cast<double>(averaged);
     return out;

@@ -11,6 +11,7 @@
 // registry *content* are guarded.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -245,6 +246,67 @@ TEST(BenchGate, AccuracyFailureIsAlwaysFatal) {
     const auto baseline =
         obs::bench_report_json({fixed_result("t/gate/acc", 10.0)}, obs::BenchOptions{});
     const auto vs = obs::compare_to_baseline(baseline, {bad}, 10.0);
+    EXPECT_EQ(vs[0].kind, obs::VerdictKind::AccuracyFail);
+}
+
+/// A baseline of one 1 s scenario with `edit` applied to its report.
+obs::Json edited_baseline(const std::function<void(obs::JsonObject&)>& edit) {
+    auto report = obs::bench_report_json({fixed_result("t/gate/cfg", 1.0)}, obs::BenchOptions{});
+    edit(report.as_object());
+    return report;
+}
+
+void expect_incomparable(const obs::Json& baseline, const std::string& field,
+                         const obs::BenchOptions& opt = obs::BenchOptions{}) {
+    // Same median as the baseline: a like-for-like run would pass.
+    const auto vs = obs::compare_to_baseline(baseline, {fixed_result("t/gate/cfg", 1.0)},
+                                             10.0, opt);
+    ASSERT_EQ(vs.size(), 1u);
+    EXPECT_EQ(vs[0].kind, obs::VerdictKind::Incomparable);
+    EXPECT_NE(vs[0].detail.find(field), std::string::npos) << vs[0].detail;
+    EXPECT_FALSE(obs::gate_passes(vs));
+}
+
+TEST(BenchGate, QuickFlagMismatchIsIncomparable) {
+    const auto baseline = edited_baseline([](obs::JsonObject&) {});
+    obs::BenchOptions quick;
+    quick.quick = true;
+    expect_incomparable(baseline, "quick", quick);
+}
+
+TEST(BenchGate, ThreadCountMismatchIsIncomparable) {
+    expect_incomparable(edited_baseline([](obs::JsonObject& r) { r["threads"] = 64; }),
+                        "threads");
+}
+
+TEST(BenchGate, BuildTypeMismatchIsIncomparable) {
+    expect_incomparable(edited_baseline([](obs::JsonObject& r) {
+                            r["manifest"].as_object()["build_type"] = "NotThisBuild";
+                        }),
+                        "build_type");
+}
+
+TEST(BenchGate, ObsFlagMismatchIsIncomparable) {
+    expect_incomparable(edited_baseline([](obs::JsonObject& r) {
+                            auto& m = r["manifest"].as_object();
+                            m["obs_enabled"] = !m["obs_enabled"].as_bool();
+                        }),
+                        "obs_enabled");
+}
+
+TEST(BenchGate, FaultsFlagMismatchIsIncomparable) {
+    expect_incomparable(edited_baseline([](obs::JsonObject& r) {
+                            auto& m = r["manifest"].as_object();
+                            m["faults_enabled"] = !m["faults_enabled"].as_bool();
+                        }),
+                        "faults_enabled");
+}
+
+TEST(BenchGate, AccuracyFailureOutranksIncomparable) {
+    const auto baseline = edited_baseline([](obs::JsonObject& r) { r["threads"] = 64; });
+    const auto vs = obs::compare_to_baseline(
+        baseline, {fixed_result("t/gate/cfg", 1.0, {metric("delta", 5.0, 2.0)})}, 10.0);
+    ASSERT_EQ(vs.size(), 1u);
     EXPECT_EQ(vs[0].kind, obs::VerdictKind::AccuracyFail);
 }
 

@@ -7,10 +7,15 @@
 #include "circuit/netlist.hpp"
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
+#include "core/impact_model.hpp"
+#include "obs/registry.hpp"
 #include "rf/oscillator.hpp"
 #include "rf/phase_noise.hpp"
+#include "rf/pss.hpp"
 #include "rf/spur.hpp"
+#include "testcases/vco.hpp"
 #include "util/error.hpp"
+#include "util/fault.hpp"
 #include "util/units.hpp"
 
 namespace snim::rf {
@@ -130,18 +135,16 @@ TEST(SpurTest, CaptureTooShortThrows) {
     EXPECT_THROW(measure_spur(cap, 1e4), Error); // < 1.5 periods in window
 }
 
-TEST(CaptureTest, VccsLcOscillator) {
-    // Cross-coupled VCCS pair on an LC tank: a minimal oscillator the
-    // capture pipeline must lock onto.  gm > 1/Rp for startup.
-    Netlist nl;
+/// Cross-coupled VCCS pair on an LC tank: a minimal oscillator.  gm > 1/Rp
+/// for startup; anti-parallel diodes across the tank clamp the amplitude (a
+/// linear model would grow without bound).
+void add_lc_oscillator(Netlist& nl) {
     const auto a = nl.node("a");
     const auto b = nl.node("b");
     nl.add<Inductor>("la", a, kGround, 4e-9, 2.0);
     nl.add<Inductor>("lb", b, kGround, 4e-9, 2.0);
     nl.add<Capacitor>("ca", a, kGround, 1e-12);
     nl.add<Capacitor>("cb", b, kGround, 1e-12);
-    // Cross-coupled negative resistance; anti-parallel diodes across the
-    // tank clamp the amplitude (a linear model would grow without bound).
     nl.add<Vccs>("gma", a, kGround, b, kGround, 20e-3);
     nl.add<Vccs>("gmb", b, kGround, a, kGround, 20e-3);
     nl.add<Resistor>("rsat_a", a, kGround, 2000.0);
@@ -150,7 +153,9 @@ TEST(CaptureTest, VccsLcOscillator) {
     nl.add<Diode>("dlim2", b, a, DiodeModel{});
     nl.add<ISource>("kick", kGround, a,
                     Waveform::pwl({{0.0, 0.0}, {0.05e-9, 2e-3}, {0.1e-9, 0.0}}));
+}
 
+OscOptions lc_osc_options() {
     OscOptions opt;
     opt.probe_p = "a";
     opt.probe_n = "b";
@@ -159,7 +164,14 @@ TEST(CaptureTest, VccsLcOscillator) {
     opt.capture = 30e-9;
     opt.f_min = 1e9;
     opt.f_max = 5e9;
-    auto cap = capture_oscillator(nl, opt);
+    return opt;
+}
+
+TEST(CaptureTest, VccsLcOscillator) {
+    // The capture pipeline must lock onto the minimal oscillator.
+    Netlist nl;
+    add_lc_oscillator(nl);
+    auto cap = capture_oscillator(nl, lc_osc_options());
     // Hard diode clamping pulls the frequency well below the small-signal
     // LC resonance; the capture just has to lock onto the real oscillation.
     const double f0 = 1.0 / (units::kTwoPi * std::sqrt(4e-9 * 1e-12));
@@ -179,6 +191,108 @@ TEST(CaptureTest, NonOscillatingCircuitThrows) {
     opt.settle = 1e-9;
     opt.capture = 5e-9;
     EXPECT_THROW(capture_oscillator(nl, opt), Error);
+}
+
+TEST(PssTest, MatchesLongCaptureOnLcOscillator) {
+    Netlist nl;
+    add_lc_oscillator(nl);
+    const auto opt = lc_osc_options();
+    const auto pss = oscillator_pss(nl, opt);
+    // The brute-force reference: 40 ns of settling, 200 ns (~370 periods)
+    // of capture.  PSS and capture agree to ~4e-7 on this circuit.
+    OscOptions longer = opt;
+    longer.settle = 40e-9;
+    longer.capture = 200e-9;
+    const auto cap = capture_oscillator(nl, longer);
+    EXPECT_NEAR(pss.capture.fc / cap.fc, 1.0, 2e-6);
+    EXPECT_NEAR(pss.capture.amplitude / cap.amplitude, 1.0, 2e-6);
+    EXPECT_NEAR(pss.period * pss.capture.fc, 1.0, 1e-12);
+    EXPECT_EQ(pss.capture.node_avg.size(), nl.unknown_count());
+    EXPECT_EQ(pss.capture.wave.size(), static_cast<size_t>(pss.grid));
+    // Far fewer steps than the capture's 48,000.
+    EXPECT_LT(pss.steps, 10000);
+
+    // A warm start on the orbit it came from is already converged.
+    const auto again = oscillator_pss(nl, opt, &pss);
+    EXPECT_EQ(again.newton_iterations, 0);
+    EXPECT_EQ(again.capture.fc, pss.capture.fc);
+}
+
+TEST(PssTest, NonOscillatingCircuitRaisesPssError) {
+    Netlist nl;
+    nl.add<VSource>("v1", nl.node("a"), kGround, Waveform::dc(1.0));
+    nl.add<Resistor>("r1", nl.node("a"), nl.node("b"), 100.0);
+    nl.add<Capacitor>("c1", nl.node("b"), kGround, 1e-12);
+    OscOptions opt;
+    opt.probe_p = "b";
+    opt.settle = 1e-9;
+    opt.capture = 5e-9;
+    EXPECT_THROW(oscillator_pss(nl, opt), PssError);
+}
+
+#if SNIM_FAULTS_ENABLED
+TEST(PssTest, DivergenceFaultFallsBackToCapture) {
+    // The LC oscillator with a DC noise source coupled into the tank, so
+    // the analyzer's K_src/G_src pair has something to move.
+    core::ImpactModel model;
+    Netlist& nl = model.netlist;
+    add_lc_oscillator(nl);
+    nl.add<VSource>("vn", nl.node("n"), kGround, Waveform::dc(0.0));
+    nl.add<Resistor>("rn", nl.node("n"), nl.node("a"), 1e4);
+    core::AnalyzerOptions aopt;
+    aopt.osc = lc_osc_options();
+    core::ImpactAnalyzer an(model, "vn", {core::NoiseEntry{"tank", {"a"}}}, aopt);
+
+    obs::reset();
+    obs::set_enabled(true);
+    fault::arm({.point = "rf.pss.diverge", .at = 1, .count = -1});
+    an.calibrate();
+    fault::clear();
+#if SNIM_OBS_ENABLED
+    // The baseline, then both captures of the +-dv pair.
+    EXPECT_EQ(obs::counter_value("rf/pss_fallbacks"), 3u);
+#endif
+    obs::reset();
+    obs::set_enabled(false);
+
+    // Every number is the brute-force capture's, bit for bit.
+    const auto base = capture_oscillator(nl, aopt.osc);
+    auto* vn = nl.find_as<VSource>("vn");
+    vn->set_waveform(Waveform::dc(aopt.dv_dc));
+    const auto plus = capture_oscillator(nl, aopt.osc);
+    vn->set_waveform(Waveform::dc(-aopt.dv_dc));
+    const auto minus = capture_oscillator(nl, aopt.osc);
+    vn->set_waveform(Waveform::dc(0.0));
+    EXPECT_EQ(an.baseline().fc, base.fc);
+    EXPECT_EQ(an.baseline().amplitude, base.amplitude);
+    EXPECT_EQ(an.k_src(), (plus.fc - minus.fc) / (2.0 * aopt.dv_dc));
+    EXPECT_EQ(an.g_src(),
+              (plus.amplitude - minus.amplitude) / (2.0 * aopt.dv_dc * base.amplitude));
+}
+#endif
+
+TEST(PssTest, VcoCalibrationIsBitIdenticalAcrossThreadsAndRuns) {
+    using testcases::VcoTestcase;
+    auto calibrate = [](int threads) {
+        auto fo = testcases::vco_flow_options();
+        fo.threads = threads;
+        auto model = testcases::build_model(testcases::build_vco(), fo);
+        core::AnalyzerOptions aopt;
+        aopt.osc = testcases::vco_osc_options();
+        core::ImpactAnalyzer an(model, VcoTestcase::kNoiseSource,
+                                testcases::vco_noise_entries(), aopt);
+        an.calibrate();
+        const std::vector<double> first{an.baseline().fc, an.baseline().amplitude,
+                                        an.k_src(), an.g_src()};
+        an.calibrate();
+        const std::vector<double> again{an.baseline().fc, an.baseline().amplitude,
+                                        an.k_src(), an.g_src()};
+        EXPECT_EQ(first, again);
+        return first;
+    };
+    const auto one = calibrate(1);
+    EXPECT_EQ(one, calibrate(4));
+    EXPECT_LT(one[2], 0.0); // K_src < 0 at the default Vtune = 0.9 (fig8)
 }
 
 TEST(PhaseNoiseTest, QFromResonance) {
