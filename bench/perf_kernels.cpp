@@ -47,15 +47,25 @@ BENCHMARK(BM_SparseLU)->Arg(64)->Arg(256)->Arg(1024)->Complexity();
 
 void BM_SubstrateReduction(benchmark::State& state) {
     const double pitch = static_cast<double>(state.range(0));
+    const auto nports = static_cast<size_t>(state.range(1));
     substrate::ExtractOptions opt;
     opt.mesh.fine_pitch = pitch;
     opt.mesh.focus = geom::Rect(0, 0, 200, 200);
     opt.mesh.margin = 50.0;
-    std::vector<substrate::PortSpec> ports(2);
-    ports[0].name = "a";
-    ports[0].region.add(geom::Rect(10, 10, 30, 30));
-    ports[1].name = "b";
-    ports[1].region.add(geom::Rect(150, 150, 170, 170));
+    // Two contacts at opposite corners; any more sit in a row across the
+    // middle, so more solves than the block CG has lanes exercise its refill.
+    std::vector<substrate::PortSpec> ports;
+    auto add_port = [&ports](std::string name, const geom::Rect& r) {
+        auto& spec = ports.emplace_back();
+        spec.name = std::move(name);
+        spec.region.add(r);
+    };
+    add_port("a", geom::Rect(10, 10, 30, 30));
+    add_port("b", geom::Rect(150, 150, 170, 170));
+    for (size_t q = 2; q < nports; ++q) {
+        const double x = 10.0 + 18.0 * static_cast<double>(q - 2);
+        add_port(format("m%zu", q), geom::Rect(x, 90, x + 10, 110));
+    }
     size_t mesh_nodes = 0;
     for (auto _ : state) {
         auto model = substrate::extract_substrate(
@@ -65,7 +75,13 @@ void BM_SubstrateReduction(benchmark::State& state) {
     }
     state.counters["mesh_nodes"] = static_cast<double>(mesh_nodes);
 }
-BENCHMARK(BM_SubstrateReduction)->Arg(20)->Arg(10)->Arg(5)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SubstrateReduction)
+    ->ArgNames({"pitch", "ports"})
+    ->Args({20, 2})
+    ->Args({10, 2})
+    ->Args({5, 2})
+    ->Args({10, 12})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_NodeElimination(benchmark::State& state) {
     // 2-D resistive grid, 4 corner ports.

@@ -52,16 +52,19 @@ RcNetwork ports_first(const RcNetwork& net, const std::vector<int>& ports);
 std::vector<std::vector<double>> dense_port_conductance(const RcNetwork& net,
                                                         const std::vector<int>& ports);
 
-/// Schur-complement reduction computed by conjugate-gradient solves (one per
-/// port) instead of node elimination, preconditioned by the IC(0) incomplete
-/// Cholesky factor of the internal block (built once, shared by all ports).
-/// Exact up to the CG tolerance (||r|| <= cg_tol ||b||), and immune to the
-/// fill-in explosion of min-degree on 3-D meshes -- the production path for
-/// substrate extraction.  Raises snim::Error when an IC(0) pivot is not
-/// positive and finite (naming the row) or when a solve does not converge
-/// (naming the port, the iterations done and the residual reached).
-/// Capacitances are projected with the same DC influence weights as
-/// eliminate_internal.
+/// Schur-complement reduction computed by conjugate-gradient solves (one
+/// column per port) instead of node elimination, preconditioned by the IC(0)
+/// incomplete Cholesky factor of the internal block (built once, shared by
+/// all ports).  The ports' solves run as a block CG that advances four
+/// columns per sweep of the internal block; each column is bitwise what
+/// solving it alone gives, so the result does not depend on which ports
+/// share a sweep.  Exact up to the CG tolerance (||r|| <= cg_tol ||b||), and
+/// immune to the fill-in explosion of min-degree on 3-D meshes -- the
+/// production path for substrate extraction.  Raises snim::Error when an
+/// IC(0) pivot is not positive and finite (naming the row) or when a solve
+/// does not converge (naming the lowest such port, the iterations done and
+/// the residual reached).  Capacitances are projected with the same DC
+/// influence weights as eliminate_internal.
 RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports,
                           double cg_tol = 1e-9, int max_iter = 20000);
 
@@ -71,7 +74,7 @@ RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports,
 ///
 ///     max over probes of ||i_reduced - i_full||_2 / ||i_full||_2
 ///
-/// where the full-side response comes from one CG solve per probe on the
+/// where the full-side response comes from one CG column per probe on the
 /// internal block (same solver and assembly as reduce_by_solve, so the
 /// comparison isolates the reduction itself).  `reduced` must follow the
 /// ports-first convention (node i == ports[i]); conductances only — the

@@ -1,7 +1,9 @@
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 
 #include "mor/elimination.hpp"
@@ -14,11 +16,19 @@ namespace snim::mor {
 
 namespace {
 
+/// Right-hand sides one block CG sweep serves: one SpMV and one IC(0)
+/// forward/backward sweep over Gii advance this many columns, and the inner
+/// loop over the lanes gives the CPU that many independent dependency
+/// chains per row of the (latency-bound) triangular sweeps.
+constexpr size_t kLanes = 4;
+
 /// The internal-internal conductance block Gii of a conductance network:
 /// its strictly lower triangle in CSR (columns ascending, parallel edges
 /// merged) plus the diagonal, and the IC(0) factor L on the same pattern,
 /// Gii ~= L L^T.  Gii is a symmetric M-matrix, so the incomplete Cholesky
 /// pivots are positive by construction and no mesh geometry is needed.
+/// The block operations take kLanes interleaved columns, v[i * kLanes + c],
+/// and run each column in exactly the order of a one-column loop.
 struct InternalBlock {
     size_t n = 0;
     std::vector<int> ptr, idx;   // strict lower triangle
@@ -27,18 +37,23 @@ struct InternalBlock {
     std::vector<double> lval;    // L(i, idx)
     std::vector<double> linv;    // 1 / L(i, i)
 
-    /// y = Gii x from the lower triangle (each edge read once, used twice).
-    void multiply(const std::vector<double>& x, std::vector<double>& y) const {
+    /// Y = Gii X from the lower triangle (each edge read once, used twice).
+    void multiply(const double* x, double* y) const {
         for (size_t i = 0; i < n; ++i) {
-            const double xi = x[i];
-            double s = diag[i] * xi;
+            double xi[kLanes], s[kLanes];
+            for (size_t c = 0; c < kLanes; ++c) {
+                xi[c] = x[i * kLanes + c];
+                s[c] = diag[i] * xi[c];
+            }
             for (int p = ptr[i]; p < ptr[i + 1]; ++p) {
                 const auto k = static_cast<size_t>(idx[static_cast<size_t>(p)]);
                 const double v = val[static_cast<size_t>(p)];
-                s += v * x[k];
-                y[k] += v * xi;
+                for (size_t c = 0; c < kLanes; ++c) {
+                    s[c] += v * x[k * kLanes + c];
+                    y[k * kLanes + c] += v * xi[c];
+                }
             }
-            y[i] = s;
+            for (size_t c = 0; c < kLanes; ++c) y[i * kLanes + c] = s[c];
         }
     }
 
@@ -82,80 +97,174 @@ struct InternalBlock {
         }
     }
 
-    /// z = (L L^T)^-1 r: forward substitution, then backward in place.
-    void precondition(const std::vector<double>& r, std::vector<double>& z) const {
+    /// Z = (L L^T)^-1 R: forward substitution, then backward in place.
+    void precondition(const double* r, double* z) const {
         for (size_t i = 0; i < n; ++i) {
-            double s = r[i];
-            for (int p = ptr[i]; p < ptr[i + 1]; ++p)
-                s -= lval[static_cast<size_t>(p)] *
-                     z[static_cast<size_t>(idx[static_cast<size_t>(p)])];
-            z[i] = s * linv[i];
+            double s[kLanes];
+            for (size_t c = 0; c < kLanes; ++c) s[c] = r[i * kLanes + c];
+            for (int p = ptr[i]; p < ptr[i + 1]; ++p) {
+                const double l = lval[static_cast<size_t>(p)];
+                const double* zk =
+                    z + static_cast<size_t>(idx[static_cast<size_t>(p)]) * kLanes;
+                for (size_t c = 0; c < kLanes; ++c) s[c] -= l * zk[c];
+            }
+            for (size_t c = 0; c < kLanes; ++c) z[i * kLanes + c] = s[c] * linv[i];
         }
         for (size_t i = n; i-- > 0;) {
-            const double zi = z[i] * linv[i];
-            z[i] = zi;
-            for (int p = ptr[i]; p < ptr[i + 1]; ++p)
-                z[static_cast<size_t>(idx[static_cast<size_t>(p)])] -=
-                    lval[static_cast<size_t>(p)] * zi;
+            double zi[kLanes];
+            for (size_t c = 0; c < kLanes; ++c) {
+                zi[c] = z[i * kLanes + c] * linv[i];
+                z[i * kLanes + c] = zi[c];
+            }
+            for (int p = ptr[i]; p < ptr[i + 1]; ++p) {
+                const double l = lval[static_cast<size_t>(p)];
+                double* zk = z + static_cast<size_t>(idx[static_cast<size_t>(p)]) * kLanes;
+                for (size_t c = 0; c < kLanes; ++c) zk[c] -= l * zi[c];
+            }
         }
     }
 };
 
-/// Outcome of one CG solve: iterations done and relative residual reached.
+/// Outcome of one CG solve: iterations done and relative residual reached
+/// (the defaults are a solve that has not iterated yet).
 struct CgResult {
-    bool converged = true;
+    bool converged = false;
     int iters = 0;
-    double rel_res = 0.0;
+    double rel_res = 1.0;
 };
 
-/// IC(0)-preconditioned CG for the SPD conductance block: stops at
-/// ||r|| <= tol ||b||.  Fails fast on a non-positive or NaN curvature and on
-/// a non-finite residual.  Records the iterations in "mor/cg_iters" whether
-/// or not it converged.
-CgResult pcg(const InternalBlock& a, const std::vector<double>& b,
-             std::vector<double>& x, double tol, int max_iter) {
+/// The column a block CG stopped at, and how far its solve got.
+struct CgFailure {
+    size_t col = 0;
+    CgResult res;
+};
+
+/// IC(0)-preconditioned block CG for Gii x_c = b_c, c = 0..ncols-1, on a
+/// pool of kLanes lanes: a lane whose column finishes takes the next one.
+/// Each column runs the one-column recurrence in its operation order (the
+/// same per-row sums, dot products accumulated over ascending rows, the same
+/// exits), so x_c is bitwise what solving column c alone gives, whatever
+/// shares its sweeps.  A column stops at ||r|| <= tol ||b||, and fails on a
+/// non-positive or NaN curvature, a non-finite residual or max_iter.
+///
+/// `load(c, b)` adds b_c into b[k * kLanes] (zero on entry).  `done(c, x)`
+/// gets the converged x_c as x[k * kLanes] and copies what it keeps; a zero
+/// b_c takes no lane and is done at once with x_c = 0.  After a failure no
+/// column starts and the columns above it are dropped, while the ones
+/// below finish: the failure returned is the lowest failing column, the one
+/// a column-by-column loop stops at.  "mor/cg_iters" records each converged
+/// solve and the returned failure; "mor/cg_sweeps" counts the block sweeps.
+template <class Load, class Done>
+std::optional<CgFailure> block_pcg(const InternalBlock& a, size_t ncols, double tol,
+                                   int max_iter, Load&& load, Done&& done) {
+    constexpr size_t W = kLanes;
     const size_t n = a.n;
-    x.assign(n, 0.0);
-    std::vector<double> r = b, z(n), p(n), ap(n);
-    double bnorm = 0.0;
-    for (double v : b) bnorm += v * v;
-    bnorm = std::sqrt(bnorm);
-    if (bnorm == 0.0) return {};
+    // q holds A p, then z: A p is dead once r is updated.
+    std::vector<double> x(n * W, 0.0), r(n * W, 0.0), p(n * W, 0.0), q(n * W);
+    struct Lane {
+        bool busy = false, fresh = false;
+        size_t col = 0;
+        double bnorm = 0.0, rz = 0.0;
+        CgResult res;
+    };
+    std::array<Lane, W> lane{};
+    std::optional<CgFailure> fail;
+    size_t next = 0;
+    uint64_t sweeps = 0;
 
-    a.precondition(r, z);
-    p = z;
-    double rz = 0.0;
-    for (size_t i = 0; i < n; ++i) rz += r[i] * z[i];
-
-    CgResult res{false, 0, 1.0};
-    while (res.iters < max_iter) {
-        a.multiply(p, ap);
-        double pap = 0.0;
-        for (size_t i = 0; i < n; ++i) pap += p[i] * ap[i];
-        if (!(pap > 0.0)) break; // lost positive definiteness, or NaN
-        const double alpha = rz / pap;
-        double rnorm = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-            rnorm += r[i] * r[i];
+    auto retire = [&](size_t l) {
+        lane[l].busy = false;
+        for (size_t i = 0; i < n; ++i) x[i * W + l] = r[i * W + l] = p[i * W + l] = 0.0;
+    };
+    auto note_failure = [&](size_t l) {
+        if (!fail || lane[l].col < fail->col) fail = CgFailure{lane[l].col, lane[l].res};
+        retire(l);
+        for (size_t m = 0; m < W; ++m)
+            if (lane[m].busy && lane[m].col > fail->col) retire(m);
+    };
+    auto fill = [&](size_t l) {
+        while (!fail && next < ncols) {
+            const size_t c = next++;
+            load(c, r.data() + l);
+            double bnorm = 0.0;
+            for (size_t i = 0; i < n; ++i) bnorm += r[i * W + l] * r[i * W + l];
+            bnorm = std::sqrt(bnorm);
+            if (bnorm == 0.0) {
+                done(c, x.data() + l);
+                retire(l); // b may hold values whose squares underflow
+                continue;
+            }
+            lane[l] = Lane{true, true, c, bnorm, 0.0, CgResult{}};
+            if (max_iter <= 0) note_failure(l);
+            return;
         }
-        ++res.iters;
-        res.rel_res = std::sqrt(rnorm) / bnorm;
-        if (!std::isfinite(res.rel_res)) break;
-        if (res.rel_res <= tol) {
-            res.converged = true;
+    };
+
+    for (;;) {
+        for (size_t l = 0; l < W; ++l)
+            if (!lane[l].busy) fill(l);
+        if (std::none_of(lane.begin(), lane.end(), [](const Lane& s) { return s.busy; }))
             break;
+        ++sweeps;
+
+        // z = M^-1 r, then p = z (first step) or z + beta p.
+        a.precondition(r.data(), q.data());
+        double rz[W] = {}, beta[W] = {};
+        for (size_t i = 0; i < n; ++i)
+            for (size_t c = 0; c < W; ++c) rz[c] += r[i * W + c] * q[i * W + c];
+        for (size_t c = 0; c < W; ++c) {
+            if (lane[c].busy && !lane[c].fresh) beta[c] = rz[c] / lane[c].rz;
+            lane[c].rz = rz[c];
         }
-        a.precondition(r, z);
-        double rz_new = 0.0;
-        for (size_t i = 0; i < n; ++i) rz_new += r[i] * z[i];
-        const double beta = rz_new / rz;
-        rz = rz_new;
-        for (size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+        for (size_t i = 0; i < n; ++i)
+            for (size_t c = 0; c < W; ++c) p[i * W + c] = q[i * W + c] + beta[c] * p[i * W + c];
+        for (size_t c = 0; c < W; ++c) {
+            if (!lane[c].fresh) continue;
+            lane[c].fresh = false;
+            // p = z exactly: z + 0 * p would turn a -0.0 into +0.0.
+            for (size_t i = 0; i < n; ++i) p[i * W + c] = q[i * W + c];
+        }
+
+        a.multiply(p.data(), q.data());
+        double pap[W] = {}, alpha[W] = {}, rnorm[W] = {};
+        for (size_t i = 0; i < n; ++i)
+            for (size_t c = 0; c < W; ++c) pap[c] += p[i * W + c] * q[i * W + c];
+        for (size_t c = 0; c < W; ++c)
+            if (lane[c].busy && pap[c] > 0.0) alpha[c] = lane[c].rz / pap[c];
+        for (size_t i = 0; i < n; ++i)
+            for (size_t c = 0; c < W; ++c) {
+                x[i * W + c] += alpha[c] * p[i * W + c];
+                r[i * W + c] -= alpha[c] * q[i * W + c];
+                rnorm[c] += r[i * W + c] * r[i * W + c];
+            }
+
+        // Failures first: each one drops the columns above it, which must
+        // then not be recorded even if they converged in this sweep.
+        for (size_t l = 0; l < W; ++l) {
+            Lane& s = lane[l];
+            if (!s.busy) continue;
+            const bool broke = !(pap[l] > 0.0); // lost positive definiteness, or NaN
+            if (!broke) {
+                ++s.res.iters;
+                s.res.rel_res = std::sqrt(rnorm[l]) / s.bnorm;
+                s.res.converged = s.res.rel_res <= tol;
+            }
+            if (broke || !std::isfinite(s.res.rel_res) ||
+                (!s.res.converged && s.res.iters >= max_iter))
+                note_failure(l);
+        }
+        for (size_t l = 0; l < W; ++l) {
+            if (!lane[l].busy || !lane[l].res.converged) continue;
+            if (obs::enabled()) obs::record_value("mor/cg_iters", lane[l].res.iters);
+            done(lane[l].col, x.data() + l);
+            retire(l);
+        }
     }
-    if (obs::enabled()) obs::record_value("mor/cg_iters", res.iters);
-    return res;
+    if (obs::enabled()) {
+        obs::count("mor/cg_sweeps", sweeps);
+        if (fail) obs::record_value("mor/cg_iters", fail->res.iters);
+    }
+    return fail;
 }
 
 /// The conductance network partitioned into port/internal blocks:
@@ -169,7 +278,7 @@ struct PartitionedG {
     InternalBlock a;                       // Gii, factored
     std::vector<std::vector<std::pair<int, double>>> gip; // port -> (internal, g)
     std::vector<std::vector<double>> gpp;
-    std::vector<double> gnd_int, gnd_port;
+    std::vector<double> gnd_port;
 };
 
 PartitionedG partition_conductance(const RcNetwork& net,
@@ -203,7 +312,7 @@ PartitionedG partition_conductance(const RcNetwork& net,
     a.ptr.assign(ni + 1, 0);
     out.gip.assign(np, {});
     out.gpp.assign(np, std::vector<double>(np, 0.0));
-    out.gnd_int.assign(ni, 0.0);
+    std::vector<double> gnd_int(ni, 0.0);
     out.gnd_port.assign(np, 0.0);
     auto& gip = out.gip;
     auto& gpp = out.gpp;
@@ -229,7 +338,7 @@ PartitionedG partition_conductance(const RcNetwork& net,
             if (pa >= 0)
                 out.gnd_port[static_cast<size_t>(pa)] += e.value;
             else
-                out.gnd_int[static_cast<size_t>(ia)] += e.value;
+                gnd_int[static_cast<size_t>(ia)] += e.value;
             continue;
         }
         if (pa >= 0 && pb >= 0) {
@@ -255,7 +364,7 @@ PartitionedG partition_conductance(const RcNetwork& net,
         }
     }
     for (size_t i = 0; i < ni; ++i) {
-        diag[i] += out.gnd_int[i];
+        diag[i] += gnd_int[i];
         // Regularise isolated internal nodes.
         if (diag[i] <= 0.0) diag[i] = 1e-15;
     }
@@ -302,60 +411,11 @@ RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports,
     const size_t np = ports.size();
     PartitionedG part = partition_conductance(net, ports);
     const size_t ni = part.ni;
-    const InternalBlock& a = part.a;
     const auto& gip = part.gip;
-    const auto& gpp = part.gpp;
-    const auto& gnd_port = part.gnd_port;
     const auto& port_of = part.port_of;
     const auto& internal_of = part.internal_of;
 
-    // Influence solves: Gii w_j = Gip(:,j); M[k][j] = w_j[k] in [0,1].
-    std::vector<std::vector<double>> w(np);
-    for (size_t j = 0; j < np; ++j) {
-        std::vector<double> rhs(ni, 0.0);
-        for (const auto& [k, g] : gip[j]) rhs[static_cast<size_t>(k)] += g;
-        if (ni == 0) {
-            w[j] = {};
-            continue;
-        }
-        obs::count("mor/cg_solves");
-        const CgResult cg = pcg(a, rhs, w[j], cg_tol, max_iter);
-        if (!cg.converged)
-            raise("substrate reduction: CG failed to converge for port %zu after "
-                  "%d iterations (relative residual %.3g, cg_tol %.3g)",
-                  j, cg.iters, cg.rel_res, cg_tol);
-    }
-
-    // Port conductance matrix: Gpp - Gip^T Gii^-1 Gip.
-    std::vector<std::vector<double>> gport = gpp;
-    for (size_t i = 0; i < np; ++i) {
-        for (size_t j = i; j < np; ++j) {
-            double s = 0.0;
-            for (const auto& [k, g] : gip[i]) s += g * w[j][static_cast<size_t>(k)];
-            gport[i][j] -= s;
-            if (j != i) gport[j][i] = gport[i][j];
-        }
-    }
-
-    RcNetwork out;
-    out.node_count = np;
-    // Ground conductance per port: row sum (includes direct ground legs and
-    // the current lost to grounded internal nodes).
-    for (size_t i = 0; i < np; ++i) {
-        double row = gnd_port[i];
-        for (size_t j = 0; j < np; ++j) row += gport[i][j];
-        // Account for internal ground legs: current into ground via Gii^-1
-        // is already part of the Schur row sum when the network is grounded.
-        if (row > 1e-18) out.add_g(static_cast<int>(i), -1, row);
-        for (size_t j = i + 1; j < np; ++j) {
-            const double g = -gport[i][j];
-            if (g > 1e-18) out.add_g(static_cast<int>(i), static_cast<int>(j), g);
-        }
-    }
-
-    // --- capacitance projection -----------------------------------------
-    // Ground caps at internal nodes lump onto ports with influence weights;
-    // port-attached caps redistribute their internal plate exactly.
+    // --- capacitance classification ---------------------------------------
     std::vector<double> cgnd_int(ni, 0.0);
     std::vector<double> cgnd_port(np, 0.0);
     std::unordered_map<long long, double> cpair; // (i<j) port pair caps
@@ -363,7 +423,12 @@ RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports,
         return (static_cast<long long>(std::min(i, j)) << 32) ^
                static_cast<unsigned>(std::max(i, j));
     };
-    std::vector<std::vector<std::pair<int, double>>> capadj(ni); // internal->port
+    struct PortCap {
+        size_t row; // internal plate
+        int port;
+        double c;
+    };
+    std::vector<PortCap> portcaps; // port-attached caps, by ascending row
 
     for (const auto& e : net.capacitances) {
         const int pa = port_of[static_cast<size_t>(e.a)];
@@ -378,26 +443,98 @@ RcNetwork reduce_by_solve(const RcNetwork& net, const std::vector<int>& ports,
         } else if (pa >= 0 && pb >= 0) {
             cpair[pair_key(pa, pb)] += e.value;
         } else if (pa >= 0) {
-            capadj[static_cast<size_t>(ib)].emplace_back(pa, e.value);
+            portcaps.push_back({static_cast<size_t>(ib), pa, e.value});
         } else if (pb >= 0) {
-            capadj[static_cast<size_t>(ia)].emplace_back(pb, e.value);
+            portcaps.push_back({static_cast<size_t>(ia), pb, e.value});
         } else {
             cgnd_int[static_cast<size_t>(ia)] += 0.5 * e.value;
             cgnd_int[static_cast<size_t>(ib)] += 0.5 * e.value;
         }
     }
 
+    std::stable_sort(portcaps.begin(), portcaps.end(),
+                     [](const PortCap& u, const PortCap& v) { return u.row < v.row; });
+
+    // What each influence vector w_j (Gii w_j = Gip(:,j), w_j[k] in [0,1])
+    // keeps once its solve is done.  A port's ground cap sums its
+    // internal-node terms over ascending rows, interleaved with the
+    // remainders of its own port-attached caps, which need every w at that
+    // row: a port with such caps keeps its whole w for the final pass.  Any
+    // other port adds its ground-cap sum as soon as its solve finishes and
+    // keeps w only at the plates of the port-attached caps, w_j[e] for
+    // portcaps[e].
+    std::vector<char> whole(np, 0);
+    for (const auto& pc : portcaps) whole[static_cast<size_t>(pc.port)] = 1;
+    std::vector<std::vector<double>> w(np);
+
+    // Port conductance matrix: Gpp - Gip^T Gii^-1 Gip, column j as w_j
+    // arrives (entries i <= j, mirrored below).
+    std::vector<std::vector<double>> gport = part.gpp;
+    if (ni > 0) {
+        auto load = [&](size_t j, double* b) {
+            obs::count("mor/cg_solves");
+            for (const auto& [k, g] : gip[j]) b[static_cast<size_t>(k) * kLanes] += g;
+        };
+        auto done = [&](size_t j, const double* x) {
+            for (size_t i = 0; i <= j; ++i) {
+                double s = 0.0;
+                for (const auto& [k, g] : gip[i]) s += g * x[static_cast<size_t>(k) * kLanes];
+                gport[i][j] -= s;
+            }
+            if (whole[j]) {
+                w[j].resize(ni);
+                for (size_t k = 0; k < ni; ++k) w[j][k] = x[k * kLanes];
+                return;
+            }
+            for (size_t k = 0; k < ni; ++k) {
+                const double m = x[k * kLanes];
+                if (cgnd_int[k] > 0.0 && m > 1e-12) cgnd_port[j] += cgnd_int[k] * m;
+            }
+            w[j].resize(portcaps.size());
+            for (size_t e = 0; e < portcaps.size(); ++e) w[j][e] = x[portcaps[e].row * kLanes];
+        };
+        if (const auto fail = block_pcg(part.a, np, cg_tol, max_iter, load, done))
+            raise("substrate reduction: CG failed to converge for port %zu after "
+                  "%d iterations (relative residual %.3g, cg_tol %.3g)",
+                  fail->col, fail->res.iters, fail->res.rel_res, cg_tol);
+    }
+    for (size_t i = 0; i < np; ++i)
+        for (size_t j = i + 1; j < np; ++j) gport[j][i] = gport[i][j];
+
+    RcNetwork out;
+    out.node_count = np;
+    // Ground conductance per port: row sum (includes direct ground legs and
+    // the current lost to grounded internal nodes).
+    for (size_t i = 0; i < np; ++i) {
+        double row = part.gnd_port[i];
+        for (size_t j = 0; j < np; ++j) row += gport[i][j];
+        // Account for internal ground legs: current into ground via Gii^-1
+        // is already part of the Schur row sum when the network is grounded.
+        if (row > 1e-18) out.add_g(static_cast<int>(i), -1, row);
+        for (size_t j = i + 1; j < np; ++j) {
+            const double g = -gport[i][j];
+            if (g > 1e-18) out.add_g(static_cast<int>(i), static_cast<int>(j), g);
+        }
+    }
+
+    // --- capacitance projection -----------------------------------------
+    // Ground caps at internal nodes lump onto ports with influence weights;
+    // port-attached caps redistribute their internal plate exactly.
+    size_t e = 0; // cursor into portcaps
     for (size_t k = 0; k < ni; ++k) {
         if (cgnd_int[k] > 0.0) {
             for (size_t j = 0; j < np; ++j) {
-                const double m = w[j].empty() ? 0.0 : w[j][k];
+                if (!whole[j]) continue; // summed when its solve finished
+                const double m = w[j][k];
                 if (m > 1e-12) cgnd_port[j] += cgnd_int[k] * m;
             }
         }
-        for (const auto& [port, c] : capadj[k]) {
+        for (; e < portcaps.size() && portcaps[e].row == k; ++e) {
+            const int port = portcaps[e].port;
+            const double c = portcaps[e].c;
             double covered = 0.0;
             for (size_t j = 0; j < np; ++j) {
-                const double m = w[j].empty() ? 0.0 : w[j][k];
+                const double m = whole[j] ? w[j][k] : w[j][e];
                 if (m <= 1e-12) continue;
                 covered += m;
                 if (static_cast<int>(j) == port) continue; // shorted plate
@@ -441,10 +578,9 @@ double probe_reduction_error(const RcNetwork& full, const RcNetwork& reduced,
         return (state >> 32) & 1 ? 1.0 : -1.0;
     };
 
-    double worst = 0.0;
-    std::vector<double> u; // internal response, reused across probes
-    for (int t = 0; t < probes; ++t) {
-        std::vector<double> v(np);
+    const auto nprobes = static_cast<size_t>(probes);
+    std::vector<std::vector<double>> excite(nprobes, std::vector<double>(np));
+    for (auto& v : excite) {
         for (double& vi : v) vi = next_sign();
         // Remove the common mode (np > 1): an equal-potential excitation of
         // a weakly grounded substrate drives almost no current, so both
@@ -461,28 +597,20 @@ double probe_reduction_error(const RcNetwork& full, const RcNetwork& reduced,
             }
             for (double& vi : v) vi -= mean;
         }
+    }
 
+    // Relative port-current error of probe t, given the internal response
+    // u[k * kLanes] to its excitation.
+    std::vector<double> rel(nprobes, 0.0);
+    auto measure = [&](size_t t, const double* u) {
+        const auto& v = excite[t];
         // Full-side port currents: i = (Gpp + diag(gnd)) v - Gip^T Gii^-1 Gip v.
-        std::vector<double> rhs(part.ni, 0.0);
-        for (size_t j = 0; j < np; ++j)
-            for (const auto& [k, g] : part.gip[j])
-                rhs[static_cast<size_t>(k)] += g * v[j];
-        if (part.ni > 0) {
-            obs::count("mor/probe_cg_solves");
-            const CgResult cg = pcg(part.a, rhs, u, cg_tol, max_iter);
-            if (!cg.converged)
-                raise("substrate reduction probe: CG failed to converge for probe "
-                      "%d after %d iterations (relative residual %.3g, cg_tol %.3g)",
-                      t, cg.iters, cg.rel_res, cg_tol);
-        } else {
-            u.clear();
-        }
         std::vector<double> ifull(np, 0.0);
         for (size_t j = 0; j < np; ++j) {
             double s = part.gnd_port[j] * v[j];
             for (size_t q = 0; q < np; ++q) s += part.gpp[j][q] * v[q];
             for (const auto& [k, g] : part.gip[j])
-                s -= g * u[static_cast<size_t>(k)];
+                s -= g * u[static_cast<size_t>(k) * kLanes];
             ifull[j] = s;
         }
 
@@ -501,15 +629,31 @@ double probe_reduction_error(const RcNetwork& full, const RcNetwork& reduced,
             dn += (ired[j] - ifull[j]) * (ired[j] - ifull[j]);
             fn += ifull[j] * ifull[j];
         }
-        double rel;
         if (fn > 0.0)
-            rel = std::sqrt(dn / fn);
+            rel[t] = std::sqrt(dn / fn);
         else
-            rel = dn > 0.0 ? std::numeric_limits<double>::infinity() : 0.0;
-        if (!(rel <= worst)) // NaN ranks worst instead of vanishing
-            worst = std::isfinite(rel) ? rel
-                                       : std::numeric_limits<double>::infinity();
+            rel[t] = dn > 0.0 ? std::numeric_limits<double>::infinity() : 0.0;
+    };
+
+    if (part.ni > 0) {
+        auto load = [&](size_t t, double* b) {
+            obs::count("mor/probe_cg_solves");
+            for (size_t j = 0; j < np; ++j)
+                for (const auto& [k, g] : part.gip[j])
+                    b[static_cast<size_t>(k) * kLanes] += g * excite[t][j];
+        };
+        if (const auto fail = block_pcg(part.a, nprobes, cg_tol, max_iter, load, measure))
+            raise("substrate reduction probe: CG failed to converge for probe "
+                  "%zu after %d iterations (relative residual %.3g, cg_tol %.3g)",
+                  fail->col, fail->res.iters, fail->res.rel_res, cg_tol);
+    } else {
+        for (size_t t = 0; t < nprobes; ++t) measure(t, nullptr); // no Gip entries
     }
+
+    double worst = 0.0;
+    for (const double r : rel)
+        if (!(r <= worst)) // NaN ranks worst instead of vanishing
+            worst = std::isfinite(r) ? r : std::numeric_limits<double>::infinity();
     return worst;
 }
 

@@ -264,6 +264,109 @@ TEST_F(ReduceBySolveTest, IterationCapRaisesWithCountAndResidual) {
 #endif
 }
 
+TEST_F(ReduceBySolveTest, IterationCapNamesTheLaterPortAfterPortZeroConverged) {
+    // Port 0 drives one grounded internal node of its own, a diagonal block
+    // of Gii that IC(0) solves exactly: it converges in one iteration, and
+    // the first grid port is the one that hits the cap.
+    std::vector<int> grid_ports;
+    RcNetwork net = grid_40x40(grid_ports);
+    const int p0 = static_cast<int>(net.node_count);
+    const int x0 = p0 + 1;
+    net.node_count += 2;
+    net.add_g(p0, x0, 1.0);
+    net.add_g(x0, -1, 0.5);
+    std::vector<int> ports{p0};
+    ports.insert(ports.end(), grid_ports.begin(), grid_ports.end());
+    try {
+        reduce_by_solve(net, ports, 1e-9, /*max_iter=*/3);
+        FAIL() << "expected CG to stop at the iteration cap";
+    } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("for port 1 after 3 iterations"), std::string::npos) << what;
+        EXPECT_NE(what.find("relative residual"), std::string::npos) << what;
+    }
+#if SNIM_OBS_ENABLED
+    // Port 0's finished solve and the failing one; the solves that shared
+    // the failing sweep are dropped unrecorded.
+    const auto stats = obs::value_stats("mor/cg_iters");
+    ASSERT_TRUE(stats.has_value());
+    EXPECT_EQ(stats->count, 2u);
+    EXPECT_EQ(stats->min, 1.0);
+    EXPECT_EQ(stats->max, 3.0);
+#endif
+}
+
+/// Ground capacitance at each reduced port (node i == port i).
+std::vector<double> ground_caps(const RcNetwork& reduced) {
+    std::vector<double> c(reduced.node_count, 0.0);
+    for (const auto& e : reduced.capacitances)
+        if (e.b < 0) c[static_cast<size_t>(e.a)] += e.value;
+    return c;
+}
+
+TEST_F(ReduceBySolveTest, PortPermutationPermutesInfluenceVectorsBitwise) {
+    // Every internal node carries a ground cap, so a port's reduced ground
+    // cap is sum_k c_k w_j[k] over ascending rows: it exposes the influence
+    // vector w_j bit for bit.  Permuting the ports reshuffles which columns
+    // share the block CG's lanes and when each one starts, yet every w_j --
+    // hence every ground cap and every column's iteration count -- must be
+    // unchanged.  The conductances agree to the CG tolerance only: a port
+    // pair's Schur product is Gip(:,i)^T w_j with i the earlier port in
+    // the list, so a permutation can evaluate it from the other side.
+    for (const size_t live : {3u, 4u, 9u}) { // below, at and above the lane count
+        RcNetwork net = random_grounded_network(150, 300, 11);
+        for (size_t k = 0; k < net.node_count; ++k)
+            net.add_c(static_cast<int>(k), -1, 1e-15 * static_cast<double>(k % 7 + 1));
+        // A port with an empty Gip column: its right-hand side is zero.
+        const int lone = static_cast<int>(net.node_count++);
+        net.add_c(lone, -1, 3e-15);
+        std::vector<int> ports;
+        for (size_t i = 0; i < live; ++i)
+            ports.push_back(static_cast<int>(5 + i * 140 / live));
+        ports.insert(ports.begin() + 1, lone);
+
+        obs::reset();
+        const RcNetwork base = reduce_by_solve(net, ports);
+        const auto base_caps = ground_caps(base);
+        const auto base_g = port_matrix(base, ports.size());
+#if SNIM_OBS_ENABLED
+        const auto base_iters = obs::value_stats("mor/cg_iters");
+        ASSERT_TRUE(base_iters.has_value());
+        EXPECT_EQ(base_iters->count, live); // the empty column took no solve
+        EXPECT_EQ(obs::counter_value("mor/cg_solves"), live + 1);
+#endif
+        std::vector<size_t> reversed(ports.size()), rotated(ports.size());
+        for (size_t i = 0; i < ports.size(); ++i) {
+            reversed[i] = ports.size() - 1 - i;
+            rotated[i] = (i + 2) % ports.size();
+        }
+        for (const auto& perm : {reversed, rotated}) {
+            // Position i of the permuted list holds the base list's port perm[i].
+            std::vector<int> permuted(ports.size());
+            for (size_t i = 0; i < ports.size(); ++i) permuted[i] = ports[perm[i]];
+            obs::reset();
+            const RcNetwork red = reduce_by_solve(net, permuted);
+            const auto caps = ground_caps(red);
+            const auto g = port_matrix(red, ports.size());
+            for (size_t i = 0; i < ports.size(); ++i) {
+                EXPECT_EQ(caps[i], base_caps[perm[i]])
+                    << "live=" << live << " position " << i;
+                for (size_t j = 0; j < ports.size(); ++j)
+                    EXPECT_NEAR(g[i][j], base_g[perm[i]][perm[j]],
+                                1e-8 * std::fabs(base_g[perm[i]][perm[i]]))
+                        << "live=" << live << " (" << i << "," << j << ")";
+            }
+#if SNIM_OBS_ENABLED
+            const auto iters = obs::value_stats("mor/cg_iters");
+            ASSERT_TRUE(iters.has_value());
+            EXPECT_EQ(iters->count, base_iters->count);
+            EXPECT_EQ(iters->sum, base_iters->sum);
+            EXPECT_EQ(iters->max, base_iters->max);
+#endif
+        }
+    }
+}
+
 TEST_F(ReduceBySolveTest, ExtractorFallsBackWhenFactorizationFails) {
     // A contact resistance so small that its conductance overflows to +inf:
     // the IC(0) pivot under the contact is not finite, the reduction raises,
